@@ -1,0 +1,49 @@
+//! Order statistics over timing samples.
+
+/// The `q`-quantile (`0 ≤ q ≤ 1`) by linear interpolation between order
+/// statistics; `NaN` for an empty sample.
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+pub fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+pub fn mean(samples: &[f64]) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&v), 2.5);
+        assert_eq!(quantile(&v, 0.0), 1.0);
+        assert_eq!(quantile(&v, 1.0), 4.0);
+        assert!(
+            (quantile(
+                &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0],
+                0.9
+            ) - 10.0)
+                .abs()
+                < 1e-12
+        );
+        assert!(median(&[]).is_nan());
+        assert_eq!(mean(&v), 2.5);
+    }
+}
