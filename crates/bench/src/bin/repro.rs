@@ -1452,6 +1452,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
         let resp = client.call(&submit_req(i)).expect("submit");
         if resp.get("ok").and_then(Value::as_bool) != Some(true) {
             let _ = child.kill();
+            let _ = child.wait();
             return chaos_fail(&base, &format!("submit {i} not admitted: {}", resp.to_line()));
         }
         acked.push(resp.get("job").and_then(Value::as_u64).expect("job id"));
@@ -1463,6 +1464,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
             || resp.get("label_hash").and_then(Value::as_str) != Some(expected.as_str())
         {
             let _ = child.kill();
+            let _ = child.wait();
             return chaos_fail(
                 &base,
                 &format!("pre-kill result wrong for job {id}: {}", resp.to_line()),
@@ -1474,6 +1476,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
         let resp = client.call(&submit_req(i)).expect("submit");
         if resp.get("ok").and_then(Value::as_bool) != Some(true) {
             let _ = child.kill();
+            let _ = child.wait();
             return chaos_fail(&base, &format!("submit {i} not admitted: {}", resp.to_line()));
         }
         acked.push(resp.get("job").and_then(Value::as_u64).expect("job id"));
@@ -1505,6 +1508,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
         if delivered.contains(&id) {
             if !tombstoned {
                 let _ = child2.kill();
+                let _ = child2.wait();
                 return chaos_fail(
                     &base,
                     &format!("delivered job {id} was re-run after restart: {}", resp.to_line()),
@@ -1522,6 +1526,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
             || resp.get("recovered").and_then(Value::as_bool) != Some(true)
         {
             let _ = child2.kill();
+            let _ = child2.wait();
             return chaos_fail(
                 &base,
                 &format!("job {id} did not replay bit-identically: {}", resp.to_line()),
@@ -1531,6 +1536,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
     }
     if replayed == 0 {
         let _ = child2.kill();
+        let _ = child2.wait();
         return chaos_fail(
             &base,
             "kill landed after the burst drained; nothing was replayed (raise --jobs)",
@@ -1546,6 +1552,7 @@ fn crashchaos(argv: Vec<String>) -> i32 {
         .unwrap_or(0);
     if recovered_jobs != replayed {
         let _ = child2.kill();
+        let _ = child2.wait();
         return chaos_fail(
             &base,
             &format!("recovered_jobs={recovered_jobs} but {replayed} jobs replayed"),

@@ -17,7 +17,7 @@
 //! Border points keep the union of their local assignments, reproducing the
 //! multi-assignment semantics of Definition 3.
 
-use crate::deadline::{DeadlineConfig, DeadlineReport, RunCtl, StageId};
+use crate::deadline::{RunCtl, StageId};
 use crate::error::DbscanError;
 use crate::stats::{Counter, NoStats, Phase, StatsSink};
 use crate::types::{Assignment, Clustering, DbscanParams};
@@ -90,26 +90,16 @@ pub fn try_cit08_instrumented<const D: usize, S: StatsSink>(
     cit08_ctl(points, params, config, stats, &RunCtl::unlimited())
 }
 
-/// Deadline-aware entry point for CIT08. The budget checkpoints once per
-/// partition (the unit of local clustering); an already-running local KDD'96
-/// pass finishes its partition before the expiry is observed, so cancellation
-/// latency is bounded by the largest single partition. CIT08 has no
-/// approximate edge phase, so `degrade` behaves like `partial`: partitions
-/// not reached come back as noise, and everything already merged stays exact.
-pub fn try_cit08_deadline<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    config: Cit08Config,
-    deadline: &DeadlineConfig,
-    stats: &S,
-) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    let ctl = RunCtl::new(deadline);
-    let out = cit08_ctl(points, params, config, stats, &ctl)?;
-    Ok((out, ctl.report()))
-}
-
 /// Cancellation-aware entry point taking an externally owned [`RunCtl`], so a
-/// host (e.g. the service daemon) can interrupt the run mid-flight.
+/// host (e.g. the service daemon) can interrupt the run mid-flight; a budget
+/// run builds the control block with [`RunCtl::new`] and reads the
+/// [`DeadlineReport`](crate::DeadlineReport) via [`RunCtl::report`]. The
+/// budget checkpoints once per partition (the unit of local clustering); an
+/// already-running local KDD'96 pass finishes its partition before the expiry
+/// is observed, so cancellation latency is bounded by the largest single
+/// partition. CIT08 has no approximate edge phase, so `degrade` behaves like
+/// `partial`: partitions not reached come back as noise, and everything
+/// already merged stays exact.
 pub fn try_cit08_ctl<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,

@@ -7,15 +7,15 @@
 //! assigned afterwards.
 
 use crate::bcp;
-use crate::cells::{assemble_clustering_ctl, connect_core_cells_ctl, CoreCells};
-use crate::deadline::{precheck_degrade, DeadlineConfig, DeadlineReport, RunCtl, StageId};
+use crate::cells::CoreCells;
+use crate::deadline::RunCtl;
 use crate::error::{DbscanError, ResourceLimits};
-use crate::stats::{Counter, NoStats, Phase, StatsSink};
+use crate::parallel::{run_grid, Graph, ParConfig};
+use crate::stats::{Counter, NoStats, StatsSink};
 use crate::types::{Clustering, DbscanParams};
+use crate::unionfind::UnionFind;
 use dbscan_geom::Point;
-use dbscan_index::{ApproxRangeCounter, KdTree};
-use std::cell::Cell as StdCell;
-use std::time::Instant;
+use dbscan_index::KdTree;
 
 /// Exact DBSCAN via grid + BCP (the paper's Theorem 2 algorithm).
 ///
@@ -107,7 +107,13 @@ pub fn try_grid_exact_with<const D: usize>(
     params: DbscanParams,
     strategy: BcpStrategy,
 ) -> Result<Clustering, DbscanError> {
-    try_grid_exact_instrumented(points, params, strategy, &ResourceLimits::UNLIMITED, &NoStats)
+    try_grid_exact_instrumented(
+        points,
+        params,
+        strategy,
+        &ResourceLimits::UNLIMITED,
+        &NoStats,
+    )
 }
 
 /// Fallible twin of [`grid_exact_instrumented`]: validates the input and
@@ -121,33 +127,25 @@ pub fn try_grid_exact_instrumented<const D: usize, S: StatsSink>(
     limits: &ResourceLimits,
     stats: &S,
 ) -> Result<Clustering, DbscanError> {
-    grid_exact_ctl(points, params, strategy, limits, stats, &RunCtl::unlimited())
-}
-
-/// Deadline-aware entry point: runs [`try_grid_exact_instrumented`] under the
-/// given [`DeadlineConfig`] and additionally returns the [`DeadlineReport`]
-/// describing how the budget played out. Under `degrade` the edge tests that
-/// run after the budget expires switch to Lemma 5 approximate counting at
-/// `degrade_rho` (see the module docs of [`crate::deadline`] for why the
-/// mixed result is still a valid ρ′-approximate clustering).
-pub fn try_grid_exact_deadline<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    strategy: BcpStrategy,
-    limits: &ResourceLimits,
-    deadline: &DeadlineConfig,
-    stats: &S,
-) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    let ctl = RunCtl::new(deadline);
-    let out = grid_exact_ctl(points, params, strategy, limits, stats, &ctl)?;
-    Ok((out, ctl.report()))
+    try_grid_exact_ctl(
+        points,
+        params,
+        strategy,
+        limits,
+        stats,
+        &RunCtl::unlimited(),
+    )
 }
 
 /// Job-boundary twin of [`try_grid_exact_instrumented`] that runs under a
 /// caller-owned [`RunCtl`], so long-lived front ends (the CLI's signal
-/// handling, the server's `cancel` verb) can trip the run externally and
-/// read the [`DeadlineReport`](crate::DeadlineReport) via
-/// [`RunCtl::report`] afterwards.
+/// handling, the server's `cancel` verb) can trip the run externally, and a
+/// budget run (a control block from [`RunCtl::new`]) can read the
+/// [`DeadlineReport`](crate::DeadlineReport) via [`RunCtl::report`]
+/// afterwards. Under `degrade` the edge tests that run after the budget
+/// expires switch to Lemma 5 approximate counting at `degrade_rho` (see the
+/// module docs of [`crate::deadline`] for why the mixed result is still a
+/// valid ρ′-approximate clustering).
 pub fn try_grid_exact_ctl<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
@@ -156,93 +154,67 @@ pub fn try_grid_exact_ctl<const D: usize, S: StatsSink>(
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    grid_exact_ctl(points, params, strategy, limits, stats, ctl)
+    let config = ParConfig::sequential(limits);
+    grid_exact_run(points, params, None, strategy, &config, stats, ctl)
 }
 
-/// Runs the edge and assembly phases over a *prebuilt* [`CoreCells`] — the
-/// cache fast path of the service tier: a repeat query over the same
-/// `(dataset, eps, min_pts)` skips the grid build and labeling entirely and
-/// lands on the identical clustering (the cells fully determine it). The
-/// cells must have been built over exactly `points`; a length mismatch is
-/// refused with [`DbscanError::IndexSizeMismatch`].
+/// Runs the edge and assembly phases over a *prebuilt* [`CoreCells`] on
+/// `config`'s pool — the cache fast path of the service tier: a repeat query
+/// over the same `(dataset, eps, min_pts)` skips the grid build and labeling
+/// entirely and lands on the identical clustering (the cells fully determine
+/// it). The cells must have been built over exactly `points`; a length
+/// mismatch is refused with [`DbscanError::IndexSizeMismatch`].
+/// `config.deadline` is ignored (`ctl` carries the budget).
 pub fn try_grid_exact_from_cells_ctl<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     cells: &CoreCells<D>,
     strategy: BcpStrategy,
+    config: &ParConfig,
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    if cells.is_core.len() != points.len() {
-        return Err(DbscanError::IndexSizeMismatch {
-            index_len: cells.is_core.len(),
-            points_len: points.len(),
-        });
-    }
-    let params = cells.params;
-    precheck_degrade(points, params, ctl)?;
-    let total = stats.now();
-    grid_exact_finish(points, cells, params, strategy, stats, ctl, total)
+    grid_exact_run(
+        points,
+        cells.params,
+        Some(cells),
+        strategy,
+        config,
+        stats,
+        ctl,
+    )
 }
 
-pub(crate) fn grid_exact_ctl<const D: usize, S: StatsSink>(
+/// The exact algorithm on the grid pipeline (see [`run_grid`]), building
+/// the core cells unless `prebuilt` is given.
+pub(crate) fn grid_exact_run<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
+    prebuilt: Option<&CoreCells<D>>,
     strategy: BcpStrategy,
-    limits: &ResourceLimits,
+    config: &ParConfig,
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    precheck_degrade(points, params, ctl)?;
-    let total = stats.now();
-    let cc = CoreCells::try_build_ctl(points, params, limits, stats, ctl)?;
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::Labeling));
-    }
-    grid_exact_finish(points, &cc, params, strategy, stats, ctl, total)
+    run_grid(points, params, prebuilt, config, stats, ctl, |g| {
+        bcp_edges(g, strategy)
+    })
 }
 
-/// The post-build phases shared by [`grid_exact_ctl`] (fresh cells) and
-/// [`try_grid_exact_from_cells_ctl`] (cached cells): BCP edge tests over the
-/// core-cell graph, then border assignment. `total` is the caller's
-/// [`Phase::Total`] start mark, so a cached run's total covers exactly the
-/// work it did.
-#[allow(clippy::too_many_arguments)]
-fn grid_exact_finish<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    cc: &CoreCells<D>,
-    params: DbscanParams,
+/// The exact edge oracle: an edge `(c₁, c₂)` iff the bichromatic closest pair
+/// of the cells' core points is within ε, decided per `strategy`. Small
+/// pairs (and every pair under [`BcpStrategy::BruteForceOnly`]) use the
+/// early-exit blocked scan; large ones first try a budgeted blocked probe and
+/// only an undecided probe pays for the tree route, which probes the smaller
+/// side against a lazily built (and cached) kd-tree over the larger side's
+/// core points (ties to the higher rank).
+fn bcp_edges<const D: usize, S: StatsSink>(
+    g: &Graph<'_, D, S>,
     strategy: BcpStrategy,
-    stats: &S,
-    ctl: &RunCtl,
-    total: Option<Instant>,
-) -> Result<Clustering, DbscanError> {
-    let eps = params.eps();
-
-    // Lazily cache one kd-tree per core cell; only cells that participate in a
-    // large pair ever pay for a build. Build time spent inside the edge loop is
-    // reported through `deferred` so it lands in Phase::StructureBuild.
-    let deferred = StdCell::new(0u64);
-    let mut trees: Vec<Option<KdTree<D>>> = (0..cc.num_core_cells()).map(|_| None).collect();
-    let mut degrade_counters: Vec<Option<ApproxRangeCounter<D>>> = if ctl.may_degrade() {
-        (0..cc.num_core_cells()).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
-    let mut uf = connect_core_cells_ctl(cc, stats, &deferred, ctl, |r1, r2| {
-        if ctl.edge_degraded() {
-            ctl.note_degraded_edge();
-            stats.bump(Counter::CounterDecisions);
-            return crate::algorithms::degraded_edge_test(
-                points,
-                cc,
-                &mut degrade_counters,
-                ctl.degrade_rho(),
-                r1,
-                r2,
-                stats,
-                &deferred,
-            );
-        }
+) -> Result<UnionFind, DbscanError> {
+    let (points, cc, stats) = (g.points, g.cc, g.exec.stats);
+    let eps = cc.params.eps();
+    let trees = g.slots::<KdTree<D>>();
+    let uf = g.connect(|r1, r2| {
         let (a, b) = (&cc.core_points_of[r1], &cc.core_points_of[r2]);
         match strategy {
             BcpStrategy::FullBcp => {
@@ -272,50 +244,33 @@ fn grid_exact_finish<const D: usize, S: StatsSink>(
             return hit;
         }
         stats.bump(Counter::TreeProbeDecisions);
-        let (probe, tree_rank, tree_pts) = if a.len() <= b.len() {
-            (a, r2, b)
+        let (probe, tree_rank) = if a.len() <= b.len() { (a, r2) } else { (b, r1) };
+        let (tree, built) = g.lazy(&trees[tree_rank], || {
+            let ids = &cc.core_points_of[tree_rank];
+            KdTree::build_entries(ids.iter().map(|&i| (points[i as usize], i)).collect())
+        });
+        stats.bump(if built {
+            Counter::KdTreeBuilds
         } else {
-            (b, r1, a)
-        };
+            Counter::TreeCacheHits
+        });
         if S::ENABLED {
-            if trees[tree_rank].is_some() {
-                stats.bump(Counter::TreeCacheHits);
-            } else {
-                stats.bump(Counter::KdTreeBuilds);
-                let t = Instant::now();
-                trees[tree_rank] = Some(KdTree::build_entries(
-                    tree_pts.iter().map(|&i| (points[i as usize], i)).collect(),
-                ));
-                deferred.set(deferred.get() + t.elapsed().as_nanos() as u64);
-            }
-            let tree = trees[tree_rank].as_ref().unwrap();
             let mut nodes = 0u64;
             let hit = bcp::within_threshold_tree_counted(points, probe, tree, eps, &mut nodes);
             stats.add(Counter::IndexNodesVisited, nodes);
             hit
         } else {
-            let tree = trees[tree_rank].get_or_insert_with(|| {
-                KdTree::build_entries(tree_pts.iter().map(|&i| (points[i as usize], i)).collect())
-            });
             bcp::within_threshold_tree(points, probe, tree, eps)
         }
-    });
+    })?;
     if S::ENABLED {
         // Core cells whose kd-tree was never needed: with the raised
         // brute-force crossover this is the usual case, and it is the
         // counterpart of the shrinking structure_build phase.
-        let unbuilt = trees.iter().filter(|t| t.is_none()).count();
+        let unbuilt = trees.iter().filter(|t| t.get().is_none()).count();
         stats.add(Counter::BruteForceCells, unbuilt as u64);
     }
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::EdgeTests));
-    }
-    let out = assemble_clustering_ctl(points, cc, &mut uf, stats, ctl);
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::BorderAssign));
-    }
-    stats.finish(Phase::Total, total);
-    Ok(out)
+    Ok(uf)
 }
 
 #[cfg(test)]
@@ -394,24 +349,61 @@ mod tests {
         assert_eq!(c.noise_count(), 1);
     }
 
+    /// Every BCP strategy on every pool size returns the identical
+    /// clustering and enumerates the identical candidate-pair set.
     #[test]
-    fn bcp_strategies_agree() {
+    fn bcp_strategies_agree_at_every_thread_count() {
+        use crate::stats::Stats;
+        // A lattice (many small cells), a dense blob (cells past the
+        // brute-force product limit, so the tree route fires), and an outlier.
         let mut pts: Vec<Point<2>> = Vec::new();
         for i in 0..40 {
             for j in 0..40 {
                 pts.push(p2(i as f64 * 0.3, j as f64 * 0.3));
             }
         }
+        let mut state = 17u64;
+        for _ in 0..3_000 {
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as f64 / (1u64 << 31) as f64 * 1.5
+            };
+            pts.push(p2(20.0 + next(), next()));
+        }
         pts.push(p2(100.0, 100.0));
         let p = params(0.5, 5);
-        let a = grid_exact_with(&pts, p, BcpStrategy::TreeAssisted);
-        let b = grid_exact_with(&pts, p, BcpStrategy::BruteForceOnly);
-        let c = grid_exact_with(&pts, p, BcpStrategy::FullBcp);
-        let d = grid_exact_with(&pts, p, BcpStrategy::FullBruteBcp);
-        assert_eq!(a.assignments, d.assignments);
-        assert_eq!(a.assignments, b.assignments);
-        assert_eq!(a.assignments, c.assignments);
-        assert_eq!(a.num_clusters, b.num_clusters);
+        let strategies = [
+            BcpStrategy::TreeAssisted,
+            BcpStrategy::BruteForceOnly,
+            BcpStrategy::FullBcp,
+            BcpStrategy::FullBruteBcp,
+        ];
+        let reference = grid_exact(&pts, p);
+        let mut edge_tests = None;
+        for strategy in strategies {
+            for threads in [1, 2, 4] {
+                let stats = Stats::new();
+                let config = ParConfig::with_threads(Some(threads));
+                let got = grid_exact_run(
+                    &pts,
+                    p,
+                    None,
+                    strategy,
+                    &config,
+                    &stats,
+                    &RunCtl::unlimited(),
+                )
+                .unwrap();
+                let what = format!("{strategy:?} threads={threads}");
+                assert_eq!(got.assignments, reference.assignments, "{what}");
+                assert_eq!(got.num_clusters, reference.num_clusters, "{what}");
+                let tests = stats.report().counter(Counter::EdgeTests);
+                assert!(tests > 0, "{what}");
+                assert_eq!(*edge_tests.get_or_insert(tests), tests, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! NN queries with a per-cell Voronoi diagram; we use a per-cell kd-tree, which
 //! has the same O(log n) practical query bound in 2D (see DESIGN.md).
 
-use crate::cells::{assemble_clustering_ctl, connect_core_cells_ctl, CoreCells};
-use crate::deadline::{precheck_degrade, DeadlineConfig, DeadlineReport, RunCtl, StageId};
+use crate::cells::CoreCells;
+use crate::deadline::RunCtl;
 use crate::error::{DbscanError, ResourceLimits};
+use crate::parallel::{run_grid, ParConfig};
 use crate::stats::{Counter, NoStats, Phase, StatsSink};
 use crate::types::{Clustering, DbscanParams};
 use dbscan_geom::Point;
-use dbscan_index::{ApproxRangeCounter, KdTree};
-use std::cell::Cell as StdCell;
+use dbscan_index::KdTree;
 
 /// Exact 2D DBSCAN following Gunawan \[11\].
 pub fn gunawan_2d(points: &[Point<2>], params: DbscanParams) -> Clustering {
@@ -26,7 +26,10 @@ pub fn gunawan_2d(points: &[Point<2>], params: DbscanParams) -> Clustering {
 /// Fallible twin of [`gunawan_2d`]: returns a typed [`DbscanError`] for
 /// non-finite coordinates or unrepresentable cell indices instead of
 /// panicking.
-pub fn try_gunawan_2d(points: &[Point<2>], params: DbscanParams) -> Result<Clustering, DbscanError> {
+pub fn try_gunawan_2d(
+    points: &[Point<2>],
+    params: DbscanParams,
+) -> Result<Clustering, DbscanError> {
     try_gunawan_2d_instrumented(points, params, &ResourceLimits::UNLIMITED, &NoStats)
 }
 
@@ -52,25 +55,12 @@ pub fn try_gunawan_2d_instrumented<S: StatsSink>(
     limits: &ResourceLimits,
     stats: &S,
 ) -> Result<Clustering, DbscanError> {
-    gunawan_2d_ctl(points, params, limits, stats, &RunCtl::unlimited())
-}
-
-/// Deadline-aware entry point: runs [`try_gunawan_2d_instrumented`] under the
-/// given [`DeadlineConfig`] and additionally returns the [`DeadlineReport`].
-pub fn try_gunawan_2d_deadline<S: StatsSink>(
-    points: &[Point<2>],
-    params: DbscanParams,
-    limits: &ResourceLimits,
-    deadline: &DeadlineConfig,
-    stats: &S,
-) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    let ctl = RunCtl::new(deadline);
-    let out = gunawan_2d_ctl(points, params, limits, stats, &ctl)?;
-    Ok((out, ctl.report()))
+    try_gunawan_2d_ctl(points, params, limits, stats, &RunCtl::unlimited())
 }
 
 /// Cancellation-aware entry point taking an externally owned [`RunCtl`], so a
-/// host (e.g. the service daemon) can interrupt the run mid-flight.
+/// host (e.g. the service daemon) can interrupt the run mid-flight; see
+/// [`crate::algorithms::try_grid_exact_ctl`].
 pub fn try_gunawan_2d_ctl<S: StatsSink>(
     points: &[Point<2>],
     params: DbscanParams,
@@ -78,89 +68,57 @@ pub fn try_gunawan_2d_ctl<S: StatsSink>(
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    gunawan_2d_ctl(points, params, limits, stats, ctl)
+    gunawan_2d_run(points, params, &ParConfig::sequential(limits), stats, ctl)
 }
 
-fn gunawan_2d_ctl<S: StatsSink>(
+/// Gunawan's algorithm on the grid pipeline (see [`run_grid`]).
+fn gunawan_2d_run<S: StatsSink>(
     points: &[Point<2>],
     params: DbscanParams,
-    limits: &ResourceLimits,
+    config: &ParConfig,
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    precheck_degrade(points, params, ctl)?;
-    let total = stats.now();
-    let cc = CoreCells::try_build_ctl(points, params, limits, stats, ctl)?;
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::Labeling));
-    }
     let eps = params.eps();
-
-    // One NN structure per core cell, built eagerly like the Voronoi diagrams
-    // of \[11\] (each is built exactly once, over that cell's core points).
-    // The eager build is not checkpointed: it is a bounded O(n log n) pass,
-    // and under `degrade` some trees may simply go unused.
-    let trees: Vec<KdTree<2>> = stats.time(Phase::StructureBuild, || {
-        cc.core_points_of
-            .iter()
-            .map(|ids| {
-                KdTree::build_entries(ids.iter().map(|&i| (points[i as usize], i)).collect())
-            })
-            .collect()
-    });
-    stats.add(Counter::KdTreeBuilds, trees.len() as u64);
-
-    let deferred = StdCell::new(0u64);
-    let mut degrade_counters: Vec<Option<ApproxRangeCounter<2>>> = if ctl.may_degrade() {
-        (0..cc.num_core_cells()).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
-    let mut uf = connect_core_cells_ctl(&cc, stats, &deferred, ctl, |r1, r2| {
-        if ctl.edge_degraded() {
-            ctl.note_degraded_edge();
-            stats.bump(Counter::CounterDecisions);
-            return crate::algorithms::degraded_edge_test(
-                points,
-                &cc,
-                &mut degrade_counters,
-                ctl.degrade_rho(),
-                r1,
-                r2,
-                stats,
-                &deferred,
-            );
-        }
-        stats.bump(Counter::TreeProbeDecisions);
-        // Probe the smaller cell's core points against the larger cell's tree.
-        let (probe, tree) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
-            (&cc.core_points_of[r1], &trees[r2])
-        } else {
-            (&cc.core_points_of[r2], &trees[r1])
-        };
-        if S::ENABLED {
-            let mut nodes = 0u64;
-            let hit = probe.iter().any(|&p| {
-                tree.nearest_within_counted(&points[p as usize], eps, &mut nodes)
-                    .is_some()
-            });
-            stats.add(Counter::IndexNodesVisited, nodes);
-            hit
-        } else {
-            probe
+    run_grid(points, params, None, config, stats, ctl, |g| {
+        let cc: &CoreCells<2> = g.cc;
+        // One NN structure per core cell, built eagerly like the Voronoi
+        // diagrams of \[11\] (each is built exactly once, over that cell's
+        // core points). The eager build is not checkpointed: it is a bounded
+        // O(n log n) pass, and under `degrade` some trees may simply go
+        // unused.
+        let trees: Vec<KdTree<2>> = stats.time(Phase::StructureBuild, || {
+            cc.core_points_of
                 .iter()
-                .any(|&p| tree.nearest_within_impl(&points[p as usize], eps).is_some())
-        }
-    });
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::EdgeTests));
-    }
-    let out = assemble_clustering_ctl(points, &cc, &mut uf, stats, ctl);
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::BorderAssign));
-    }
-    stats.finish(Phase::Total, total);
-    Ok(out)
+                .map(|ids| {
+                    KdTree::build_entries(ids.iter().map(|&i| (points[i as usize], i)).collect())
+                })
+                .collect()
+        });
+        stats.add(Counter::KdTreeBuilds, trees.len() as u64);
+        g.connect(|r1, r2| {
+            stats.bump(Counter::TreeProbeDecisions);
+            // Probe the smaller cell's core points against the larger cell's tree.
+            let (probe, tree) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
+                (&cc.core_points_of[r1], &trees[r2])
+            } else {
+                (&cc.core_points_of[r2], &trees[r1])
+            };
+            if S::ENABLED {
+                let mut nodes = 0u64;
+                let hit = probe.iter().any(|&p| {
+                    tree.nearest_within_counted(&points[p as usize], eps, &mut nodes)
+                        .is_some()
+                });
+                stats.add(Counter::IndexNodesVisited, nodes);
+                hit
+            } else {
+                probe
+                    .iter()
+                    .any(|&p| tree.nearest_within_impl(&points[p as usize], eps).is_some())
+            }
+        })
+    })
 }
 
 #[cfg(test)]
@@ -201,6 +159,15 @@ mod tests {
                 let b = grid_exact(&pts, p);
                 assert_eq!(a.num_clusters, b.num_clusters, "seed={seed} eps={eps}");
                 assert_eq!(a.assignments, b.assignments, "seed={seed} eps={eps}");
+                for threads in [1, 4] {
+                    let config = ParConfig::with_threads(Some(threads));
+                    let c =
+                        gunawan_2d_run(&pts, p, &config, &NoStats, &RunCtl::unlimited()).unwrap();
+                    assert_eq!(
+                        c.assignments, b.assignments,
+                        "seed={seed} eps={eps} threads={threads}"
+                    );
+                }
             }
         }
     }

@@ -12,7 +12,7 @@
 //! to produce the full multi-assignment semantics of Definition 3, so results
 //! are directly comparable with the grid algorithms'.
 
-use crate::deadline::{DeadlineConfig, DeadlineReport, RunCtl, StageId};
+use crate::deadline::{RunCtl, StageId};
 use crate::error::DbscanError;
 use crate::stats::{Counter, NoStats, Phase, StatsSink};
 use crate::types::{Assignment, Clustering, DbscanParams};
@@ -312,28 +312,12 @@ pub fn try_kdd96_kdtree_instrumented<const D: usize, S: StatsSink>(
     Ok(out)
 }
 
-/// Deadline-aware entry point for the kd-tree-indexed KDD'96 run. KDD'96 has
-/// no approximate edge phase, so `degrade` behaves like `partial` here (see
-/// [`try_kdd96_impl_ctl`]); the report still records the outcome.
-pub fn try_kdd96_kdtree_deadline<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    deadline: &DeadlineConfig,
-    stats: &S,
-) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    crate::validate::check_points_finite(points)?;
-    let ctl = RunCtl::new(deadline);
-    let total = stats.now();
-    let index = stats.time(Phase::StructureBuild, || KdTree::build(points));
-    stats.bump(Counter::KdTreeBuilds);
-    let out = try_kdd96_impl_ctl(points, params, &index, stats, &ctl)?;
-    stats.finish(Phase::Total, total);
-    Ok((out, ctl.report()))
-}
-
 /// Cancellation-aware kd-tree entry point taking an externally owned
 /// [`RunCtl`], so a host (e.g. the service daemon) can interrupt the run
-/// mid-flight.
+/// mid-flight; a budget run builds the control block with [`RunCtl::new`]
+/// and reads the [`DeadlineReport`](crate::DeadlineReport) via
+/// [`RunCtl::report`]. KDD'96 has no approximate edge phase, so `degrade`
+/// behaves like `partial` here: unreached points come back as noise.
 pub fn try_kdd96_kdtree_ctl<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,

@@ -12,140 +12,28 @@ pub(crate) mod kdd96;
 mod rho_approx;
 
 pub use cit08::{
-    cit08, cit08_instrumented, try_cit08, try_cit08_ctl, try_cit08_deadline,
-    try_cit08_instrumented, Cit08Config,
+    cit08, cit08_instrumented, try_cit08, try_cit08_ctl, try_cit08_instrumented, Cit08Config,
 };
 pub use grid_exact::{
     grid_exact, grid_exact_instrumented, grid_exact_with, try_grid_exact, try_grid_exact_ctl,
-    try_grid_exact_deadline, try_grid_exact_from_cells_ctl, try_grid_exact_instrumented,
-    try_grid_exact_with, BcpStrategy,
+    try_grid_exact_from_cells_ctl, try_grid_exact_instrumented, try_grid_exact_with, BcpStrategy,
 };
 pub use gunawan2d::{
     gunawan_2d, gunawan_2d_instrumented, try_gunawan_2d, try_gunawan_2d_ctl,
-    try_gunawan_2d_deadline, try_gunawan_2d_instrumented,
+    try_gunawan_2d_instrumented,
 };
 pub use kdd96::{
     kdd96, kdd96_instrumented, kdd96_kdtree, kdd96_kdtree_instrumented, kdd96_linear,
     kdd96_linear_instrumented, kdd96_rtree, kdd96_rtree_instrumented, try_kdd96,
-    try_kdd96_instrumented, try_kdd96_kdtree, try_kdd96_kdtree_ctl, try_kdd96_kdtree_deadline,
-    try_kdd96_kdtree_instrumented, try_kdd96_linear, try_kdd96_rtree, try_kdd96_rtree_instrumented,
+    try_kdd96_instrumented, try_kdd96_kdtree, try_kdd96_kdtree_ctl, try_kdd96_kdtree_instrumented,
+    try_kdd96_linear, try_kdd96_rtree, try_kdd96_rtree_instrumented,
 };
 pub use rho_approx::{
     rho_approx, rho_approx_instrumented, try_rho_approx, try_rho_approx_ctl,
-    try_rho_approx_deadline, try_rho_approx_from_cells_ctl, try_rho_approx_instrumented,
+    try_rho_approx_from_cells_ctl, try_rho_approx_instrumented,
 };
 
-// The ctl-threaded sequential bodies, for the parallel layer's
-// budget-sharing sequential fallback.
-pub(crate) use grid_exact::grid_exact_ctl;
-pub(crate) use rho_approx::rho_approx_ctl;
-
-use crate::cells::CoreCells;
-use crate::stats::{Counter, StatsSink};
-use dbscan_geom::Point;
-use dbscan_index::ApproxRangeCounter;
-use std::cell::Cell as StdCell;
-use std::sync::OnceLock;
-use std::time::Instant;
-
-/// The degraded edge test shared by the sequential deadline paths: decide the
-/// `(r1, r2)` edge with a Lemma 5 approximate counter at `rho` (the configured
-/// `degrade_rho`), built lazily over the larger cell's core points and probed
-/// with the smaller cell's. Identical mechanics to the ρ-approximate
-/// algorithm's edge rule — which is what makes a mixed exact/degraded run a
-/// valid ρ′-approximate clustering under the Sandwich Theorem.
-#[allow(clippy::too_many_arguments)] // mirrors the exact edge-closure signature
-pub(crate) fn degraded_edge_test<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    cc: &CoreCells<D>,
-    counters: &mut [Option<ApproxRangeCounter<D>>],
-    rho: f64,
-    r1: usize,
-    r2: usize,
-    stats: &S,
-    deferred: &StdCell<u64>,
-) -> bool {
-    let eps = cc.params.eps();
-    let (probe_rank, counter_rank) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len()
-    {
-        (r1, r2)
-    } else {
-        (r2, r1)
-    };
-    let build = || {
-        let pts: Vec<Point<D>> = cc.core_points_of[counter_rank]
-            .iter()
-            .map(|&i| points[i as usize])
-            .collect();
-        ApproxRangeCounter::build(&pts, eps, rho)
-    };
-    if S::ENABLED {
-        if counters[counter_rank].is_none() {
-            stats.bump(Counter::CounterBuilds);
-            let t = Instant::now();
-            counters[counter_rank] = Some(build());
-            deferred.set(deferred.get() + t.elapsed().as_nanos() as u64);
-        }
-        let counter = counters[counter_rank].as_ref().unwrap();
-        let mut visited = 0u64;
-        let mut queries = 0u64;
-        let hit = cc.core_points_of[probe_rank].iter().any(|&p| {
-            queries += 1;
-            counter.query_positive_counted(&points[p as usize], &mut visited)
-        });
-        stats.add(Counter::CounterQueries, queries);
-        stats.add(Counter::IndexNodesVisited, visited);
-        hit
-    } else {
-        let counter = counters[counter_rank].get_or_insert_with(build);
-        cc.core_points_of[probe_rank]
-            .iter()
-            .any(|&p| counter.query_positive(&points[p as usize]))
-    }
-}
-
-/// [`degraded_edge_test`] over `OnceLock` slots, for the `Fn + Sync` closures
-/// of the parallel edge phase (racing builds are possible; the losing build is
-/// dropped, and both are deterministic functions of the cell's points).
-pub(crate) fn degraded_edge_test_shared<const D: usize, S: StatsSink + Sync>(
-    points: &[Point<D>],
-    cc: &CoreCells<D>,
-    counters: &[OnceLock<ApproxRangeCounter<D>>],
-    rho: f64,
-    r1: usize,
-    r2: usize,
-    stats: &S,
-) -> bool {
-    let eps = cc.params.eps();
-    let (probe_rank, counter_rank) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len()
-    {
-        (r1, r2)
-    } else {
-        (r2, r1)
-    };
-    let counter = counters[counter_rank].get_or_init(|| {
-        if S::ENABLED {
-            stats.bump(Counter::CounterBuilds);
-        }
-        let pts: Vec<Point<D>> = cc.core_points_of[counter_rank]
-            .iter()
-            .map(|&i| points[i as usize])
-            .collect();
-        ApproxRangeCounter::build(&pts, eps, rho)
-    });
-    if S::ENABLED {
-        let mut visited = 0u64;
-        let mut queries = 0u64;
-        let hit = cc.core_points_of[probe_rank].iter().any(|&p| {
-            queries += 1;
-            counter.query_positive_counted(&points[p as usize], &mut visited)
-        });
-        stats.add(Counter::CounterQueries, queries);
-        stats.add(Counter::IndexNodesVisited, visited);
-        hit
-    } else {
-        cc.core_points_of[probe_rank]
-            .iter()
-            .any(|&p| counter.query_positive(&points[p as usize]))
-    }
-}
+// The edge oracles' pipeline drivers, for the `*_par` entry points, and the
+// Lemma 5 edge rule, for the degraded test every grid algorithm shares.
+pub(crate) use grid_exact::grid_exact_run;
+pub(crate) use rho_approx::{counter_edge_test, rho_approx_run, CounterSlots};

@@ -15,16 +15,16 @@
 //! output is a legal result of Problem 2 and inherits the sandwich guarantee of
 //! Theorem 3.
 
-use crate::cells::{assemble_clustering_ctl, connect_core_cells_ctl, CoreCells};
-use crate::deadline::{precheck_degrade, DeadlineConfig, DeadlineReport, RunCtl, StageId};
+use crate::cells::CoreCells;
+use crate::deadline::RunCtl;
 use crate::error::{validate_rho, DbscanError, ResourceLimits};
-use crate::stats::{Counter, NoStats, Phase, StatsSink};
+use crate::parallel::{run_grid, Graph, ParConfig};
+use crate::stats::{Counter, NoStats, StatsSink};
 use crate::types::{Clustering, DbscanParams};
 use dbscan_geom::grid::{base_side, hierarchy_levels};
 use dbscan_geom::Point;
 use dbscan_index::ApproxRangeCounter;
-use std::cell::Cell as StdCell;
-use std::time::Instant;
+use std::sync::OnceLock;
 
 /// ρ-approximate DBSCAN (the paper's Theorem 4 algorithm).
 ///
@@ -85,7 +85,7 @@ pub fn try_rho_approx<const D: usize>(
 /// *deepest* level of the Lemma 5 hierarchy (where the unchecked build would
 /// silently saturate and break the sandwich guarantee), and — under `limits`
 /// — refuses runs whose worst-case aggregate counter footprint exceeds the
-/// byte budget, before building anything.
+/// byte budget, before building any counter.
 pub fn try_rho_approx_instrumented<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
@@ -93,29 +93,15 @@ pub fn try_rho_approx_instrumented<const D: usize, S: StatsSink>(
     limits: &ResourceLimits,
     stats: &S,
 ) -> Result<Clustering, DbscanError> {
-    rho_approx_ctl(points, params, rho, limits, stats, &RunCtl::unlimited())
-}
-
-/// Deadline-aware entry point: runs [`try_rho_approx_instrumented`] under the
-/// given [`DeadlineConfig`] and additionally returns the [`DeadlineReport`].
-/// Degrading an already-approximate run re-targets the remaining edge tests
-/// at the (coarser) `degrade_rho`; the combined result is a valid
-/// max(ρ, ρ′)-approximate clustering by the same Sandwich-Theorem argument.
-pub fn try_rho_approx_deadline<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    rho: f64,
-    limits: &ResourceLimits,
-    deadline: &DeadlineConfig,
-    stats: &S,
-) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    let ctl = RunCtl::new(deadline);
-    let out = rho_approx_ctl(points, params, rho, limits, stats, &ctl)?;
-    Ok((out, ctl.report()))
+    try_rho_approx_ctl(points, params, rho, limits, stats, &RunCtl::unlimited())
 }
 
 /// Cancellation-aware entry point taking an externally owned [`RunCtl`], so a
-/// host (e.g. the service daemon) can interrupt or degrade the run mid-flight.
+/// host (e.g. the service daemon) can interrupt or degrade the run
+/// mid-flight; see [`crate::algorithms::try_grid_exact_ctl`]. Degrading an
+/// already-approximate run re-targets the remaining edge tests at the
+/// (coarser) `degrade_rho`; the combined result is a valid
+/// max(ρ, ρ′)-approximate clustering by the same Sandwich-Theorem argument.
 pub fn try_rho_approx_ctl<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
@@ -124,166 +110,121 @@ pub fn try_rho_approx_ctl<const D: usize, S: StatsSink>(
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    rho_approx_ctl(points, params, rho, limits, stats, ctl)
+    let config = ParConfig::sequential(limits);
+    rho_approx_run(points, params, None, rho, &config, stats, ctl)
 }
 
 /// Runs the ρ-approximate algorithm on a prebuilt [`CoreCells`] structure
-/// (from [`CoreCells::try_build_ctl`] on the same `points`), skipping the grid
-/// build and core labeling. The counters themselves are still built lazily
-/// here, so the same cached cells serve any `rho`. Returns
-/// [`DbscanError::IndexSizeMismatch`] when `cells` was built over a different
-/// number of points.
+/// (from [`CoreCells::try_build_ctl`] on the same `points`) on `config`'s
+/// pool, skipping the grid build and core labeling. The counters themselves
+/// are still built lazily here, so the same cached cells serve any `rho`.
+/// Returns [`DbscanError::IndexSizeMismatch`] when `cells` was built over a
+/// different number of points. `config.deadline` is ignored (`ctl` carries
+/// the budget).
 pub fn try_rho_approx_from_cells_ctl<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     cells: &CoreCells<D>,
     rho: f64,
-    limits: &ResourceLimits,
+    config: &ParConfig,
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    if cells.is_core.len() != points.len() {
-        return Err(DbscanError::IndexSizeMismatch {
-            index_len: cells.is_core.len(),
-            points_len: points.len(),
-        });
-    }
-    let params = cells.params;
-    validate_rho(params.eps(), rho)?;
-    precheck_degrade(points, params, ctl)?;
-    let total = stats.now();
-    rho_approx_finish(points, cells, params, rho, limits, stats, ctl, total)
+    rho_approx_run(points, cells.params, Some(cells), rho, config, stats, ctl)
 }
 
-pub(crate) fn rho_approx_ctl<const D: usize, S: StatsSink>(
+/// The ρ-approximate algorithm on the grid pipeline (see [`run_grid`]),
+/// building the core cells unless `prebuilt` is given.
+pub(crate) fn rho_approx_run<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
+    prebuilt: Option<&CoreCells<D>>,
     rho: f64,
-    limits: &ResourceLimits,
+    config: &ParConfig,
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
     validate_rho(params.eps(), rho)?;
-    precheck_degrade(points, params, ctl)?;
-    let total = stats.now();
-    let cc = CoreCells::try_build_ctl(points, params, limits, stats, ctl)?;
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::Labeling));
-    }
-    rho_approx_finish(points, &cc, params, rho, limits, stats, ctl, total)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rho_approx_finish<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    cc: &CoreCells<D>,
-    params: DbscanParams,
-    rho: f64,
-    limits: &ResourceLimits,
-    stats: &S,
-    ctl: &RunCtl,
-    total: Option<Instant>,
-) -> Result<Clustering, DbscanError> {
-    // Counters bucket at sides down to base_side / 2^(h-1); verify the whole
-    // dataset is representable there so the lazy in-loop builds can never
-    // overflow a cell coordinate.
-    let leaf_side = base_side::<D>(params.eps()) / (1u64 << (hierarchy_levels(rho) - 1)) as f64;
-    crate::validate::check_cell_range(points, leaf_side)?;
-    if let Some(budget) = limits.max_index_bytes {
-        // Worst case every core cell builds its counter; their aggregate
-        // estimate is h·size_of::<node>() (+ sort scratch) per core point.
-        let estimated =
-            dbscan_index::counter::estimated_build_bytes::<D>(cc.num_core_points(), rho);
-        if estimated > budget {
-            return Err(DbscanError::ResourceLimit {
-                structure: "approximate range counters",
-                estimated_bytes: estimated,
-                budget_bytes: budget,
-            });
-        }
-    }
-    let eps = params.eps();
-
-    // One counter per core cell, built lazily over the cell's core points (cells
-    // that never serve as the "counter side" of a pair never pay for a build).
-    // Build time spent inside the edge loop is reported through `deferred` so
-    // it lands in Phase::StructureBuild.
-    let deferred = StdCell::new(0u64);
-    let mut counters: Vec<Option<ApproxRangeCounter<D>>> =
-        (0..cc.num_core_cells()).map(|_| None).collect();
-    let mut degrade_counters: Vec<Option<ApproxRangeCounter<D>>> = if ctl.may_degrade() {
-        (0..cc.num_core_cells()).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
-    let mut uf = connect_core_cells_ctl(cc, stats, &deferred, ctl, |r1, r2| {
-        stats.bump(Counter::CounterDecisions);
-        if ctl.edge_degraded() {
-            ctl.note_degraded_edge();
-            return crate::algorithms::degraded_edge_test(
-                points,
-                cc,
-                &mut degrade_counters,
-                ctl.degrade_rho(),
-                r1,
-                r2,
-                stats,
-                &deferred,
-            );
-        }
-        // Probe with the smaller side, count on the larger side.
-        let (probe_rank, counter_rank) =
-            if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
-                (r1, r2)
-            } else {
-                (r2, r1)
-            };
-        let build = || {
-            let pts: Vec<Point<D>> = cc.core_points_of[counter_rank]
-                .iter()
-                .map(|&i| points[i as usize])
-                .collect();
-            ApproxRangeCounter::build(&pts, eps, rho)
-        };
-        if S::ENABLED {
-            if counters[counter_rank].is_none() {
-                stats.bump(Counter::CounterBuilds);
-                let t = Instant::now();
-                counters[counter_rank] = Some(build());
-                deferred.set(deferred.get() + t.elapsed().as_nanos() as u64);
+    run_grid(points, params, prebuilt, config, stats, ctl, |g| {
+        // Counters bucket at sides down to base_side / 2^(h-1); verify the
+        // whole dataset is representable there so the lazy in-loop builds
+        // can never overflow a cell coordinate.
+        let leaf_side = base_side::<D>(params.eps()) / (1u64 << (hierarchy_levels(rho) - 1)) as f64;
+        crate::validate::check_cell_range(points, leaf_side)?;
+        if let Some(budget) = g.exec.limits.max_index_bytes {
+            // Worst case every core cell builds its counter; their aggregate
+            // estimate is h·size_of::<node>() (+ sort scratch) per core point.
+            let estimated =
+                dbscan_index::counter::estimated_build_bytes::<D>(g.cc.num_core_points(), rho);
+            if estimated > budget {
+                return Err(DbscanError::ResourceLimit {
+                    structure: "approximate range counters",
+                    estimated_bytes: estimated,
+                    budget_bytes: budget,
+                });
             }
-            let counter = counters[counter_rank].as_ref().unwrap();
-            let mut visited = 0u64;
-            let mut queries = 0u64;
-            let hit = cc.core_points_of[probe_rank].iter().any(|&p| {
-                queries += 1;
-                counter.query_positive_counted(&points[p as usize], &mut visited)
-            });
-            stats.add(Counter::CounterQueries, queries);
-            stats.add(Counter::IndexNodesVisited, visited);
-            hit
-        } else {
-            let counter = counters[counter_rank].get_or_insert_with(build);
-            cc.core_points_of[probe_rank]
-                .iter()
-                .any(|&p| counter.query_positive(&points[p as usize]))
         }
+        let counters = g.slots();
+        let uf = g.connect(|r1, r2| {
+            g.exec.stats.bump(Counter::CounterDecisions);
+            counter_edge_test(g, &counters, rho, r1, r2)
+        })?;
+        if S::ENABLED {
+            // Core cells that never served as the count side of a reached
+            // pair, so their Lemma 5 counter was never built (the approximate
+            // analogue of the exact path's brute_force_cells).
+            let unbuilt = counters.iter().filter(|c| c.get().is_none()).count();
+            g.exec.stats.add(Counter::BruteForceCells, unbuilt as u64);
+        }
+        Ok(uf)
+    })
+}
+
+/// One lazily built Lemma 5 counter slot per core cell.
+pub(crate) type CounterSlots<const D: usize> = [OnceLock<ApproxRangeCounter<D>>];
+
+/// The ρ-approximate edge rule: the approximate range counter of Lemma 5 at
+/// `rho`, built lazily over the larger cell's core points, is probed with
+/// the smaller cell's core points (ties count on `r2`); a positive count at
+/// radius ε decides the edge.
+pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
+    g: &Graph<'_, D, S>,
+    counters: &CounterSlots<D>,
+    rho: f64,
+    r1: usize,
+    r2: usize,
+) -> bool {
+    let (points, cc, stats) = (g.points, g.cc, g.exec.stats);
+    let (probe_rank, counter_rank) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
+        (r1, r2)
+    } else {
+        (r2, r1)
+    };
+    let (counter, built) = g.lazy(&counters[counter_rank], || {
+        let pts: Vec<Point<D>> = cc.core_points_of[counter_rank]
+            .iter()
+            .map(|&i| points[i as usize])
+            .collect();
+        ApproxRangeCounter::build(&pts, cc.params.eps(), rho)
     });
+    if built {
+        stats.bump(Counter::CounterBuilds);
+    }
+    let probe = &cc.core_points_of[probe_rank];
     if S::ENABLED {
-        // Core cells that never served as the count side of a reached pair,
-        // so their Lemma 5 counter was never built (the approximate
-        // analogue of the exact path's brute_force_cells).
-        let unbuilt = counters.iter().filter(|c| c.is_none()).count();
-        stats.add(Counter::BruteForceCells, unbuilt as u64);
+        let mut visited = 0u64;
+        let mut queries = 0u64;
+        let hit = probe.iter().any(|&p| {
+            queries += 1;
+            counter.query_positive_counted(&points[p as usize], &mut visited)
+        });
+        stats.add(Counter::CounterQueries, queries);
+        stats.add(Counter::IndexNodesVisited, visited);
+        hit
+    } else {
+        probe
+            .iter()
+            .any(|&p| counter.query_positive(&points[p as usize]))
     }
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::EdgeTests));
-    }
-    let out = assemble_clustering_ctl(points, cc, &mut uf, stats, ctl);
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::BorderAssign));
-    }
-    stats.finish(Phase::Total, total);
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -54,7 +54,8 @@ pub fn assign_border_clusters<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::{connect_core_cells, CoreCells};
+    use crate::cells::CoreCells;
+    use crate::parallel::connect_with;
     use crate::types::DbscanParams;
     use dbscan_geom::point::p2;
 
@@ -80,7 +81,7 @@ mod tests {
         let params = DbscanParams::new(1.4, 4).unwrap();
         let cc = CoreCells::build(&pts, params);
         assert!(!cc.is_core[8], "bridge point must not be core");
-        let mut uf = connect_core_cells(&cc, |r1, r2| {
+        let mut uf = connect_with(&pts, &cc, 1, |r1, r2| {
             crate::bcp::within_threshold_brute(
                 &pts,
                 &cc.core_points_of[r1],
@@ -103,7 +104,7 @@ mod tests {
         let pts = vec![p2(0.0, 0.0), p2(0.1, 0.0), p2(0.2, 0.0), p2(9.0, 9.0)];
         let params = DbscanParams::new(0.5, 3).unwrap();
         let cc = CoreCells::build(&pts, params);
-        let mut uf = connect_core_cells(&cc, |_, _| true);
+        let mut uf = connect_with(&pts, &cc, 1, |_, _| true);
         let (labels, _) = uf.compact_labels();
         assert!(assign_border_clusters(&pts, &cc, &labels, 3).is_empty());
     }
@@ -118,7 +119,7 @@ mod tests {
         let cc = CoreCells::build(&pts, params);
         assert!(cc.is_core[0], "origin must be core (closed ball counts q)");
         assert!(!cc.is_core[3], "q must not be core");
-        let mut uf = connect_core_cells(&cc, |_, _| true);
+        let mut uf = connect_with(&pts, &cc, 1, |_, _| true);
         let (labels, _) = uf.compact_labels();
         let clusters = assign_border_clusters(&pts, &cc, &labels, 3);
         assert_eq!(clusters.len(), 1, "exact-ε border point must be assigned");

@@ -12,21 +12,20 @@
 //!    core points (Lemma 1);
 //! 4. assign border points to the clusters of core points within ε.
 //!
-//! Only step 2 differs between the algorithms, so it is a closure parameter of
-//! [`connect_core_cells`].
+//! Only step 2 differs between the algorithms: each one hands its *edge
+//! oracle* to the one edge loop of the grid pipeline in [`crate::parallel`],
+//! which runs every step on a [`WorkerPool`](crate::WorkerPool) of any size
+//! (a sequential run is the one-thread pool).
 
-use crate::border::assign_border_clusters;
-use crate::deadline::{RunCtl, StageId};
+use crate::deadline::RunCtl;
 use crate::error::{DbscanError, ResourceLimits};
-use crate::labeling::label_core_points_ctl;
-use crate::stats::{Counter, NoStats, Phase, StatsSink};
-use crate::types::{Assignment, Clustering, DbscanParams};
-use crate::unionfind::UnionFind;
+use crate::labeling::label_core_points;
+use crate::parallel::{with_fallback, Exec, ParConfig};
+use crate::stats::{NoStats, Phase, StatsSink};
+use crate::types::DbscanParams;
 use dbscan_geom::kernels::SoaBlock;
 use dbscan_geom::Point;
 use dbscan_index::GridIndex;
-use std::cell::Cell as StdCell;
-use std::time::Instant;
 
 /// The grid, core labels, and the per-cell core point lists that the cell-graph
 /// algorithms operate on.
@@ -54,9 +53,8 @@ pub struct CoreCells<const D: usize> {
 }
 
 /// Gathers each rank's core-point coordinates into one flat lane-major buffer
-/// (see [`CoreCells::core_soa`]); shared by the sequential and parallel
-/// builders so both produce the identical layout.
-pub(crate) fn gather_core_soa<const D: usize>(
+/// (see [`CoreCells::core_soa`]).
+fn gather_core_soa<const D: usize>(
     points: &[Point<D>],
     core_points_of: &[Vec<u32>],
 ) -> (Vec<f64>, Vec<u32>) {
@@ -96,56 +94,50 @@ impl<const D: usize> CoreCells<D> {
     }
 
     /// Builds the grid, labels core points, and collects core cells.
+    /// Panics on invalid input (non-finite coordinates, cell overflow); see
+    /// [`CoreCells::try_build_ctl`].
     pub fn build(points: &[Point<D>], params: DbscanParams) -> Self {
-        Self::build_instrumented(points, params, &NoStats)
-    }
-
-    /// Instrumented twin of [`CoreCells::build`]: the grid build is timed as
-    /// [`Phase::GridBuild`]; labeling and core-cell collection as
-    /// [`Phase::Labeling`]. Panics on invalid input (non-finite coordinates,
-    /// cell overflow); see [`CoreCells::try_build_instrumented`].
-    pub fn build_instrumented<S: StatsSink>(
-        points: &[Point<D>],
-        params: DbscanParams,
-        stats: &S,
-    ) -> Self {
-        Self::try_build_instrumented(points, params, &ResourceLimits::UNLIMITED, stats)
+        let config = ParConfig::sequential(&ResourceLimits::UNLIMITED);
+        Self::try_build_ctl(points, params, &config, &NoStats, &RunCtl::unlimited())
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`CoreCells::build_instrumented`]: validates the
-    /// points (finite coordinates, representable cell indices) and builds the
-    /// grid under `limits`' byte budget, returning a typed [`DbscanError`]
-    /// instead of panicking or silently corrupting the grid.
-    pub fn try_build_instrumented<S: StatsSink>(
-        points: &[Point<D>],
-        params: DbscanParams,
-        limits: &ResourceLimits,
-        stats: &S,
-    ) -> Result<Self, DbscanError> {
-        Self::try_build_ctl(points, params, limits, stats, &RunCtl::unlimited())
-    }
-
-    /// Deadline-aware twin of [`CoreCells::try_build_instrumented`]: the
-    /// labeling pass checkpoints the run's budget once per cell (see
-    /// [`label_core_points_ctl`]); the grid build itself is atomic (it is a
-    /// single allocation-and-scatter pass, not task-shaped). Under `abort`
-    /// the caller converts the observed expiry to the typed error after this
-    /// returns; under `partial` the remaining cells simply come back
-    /// non-core.
+    /// Fallible, deadline-aware build on `config`'s pool: validates the
+    /// points (finite coordinates, representable cell indices), builds the
+    /// grid under `config.limits`' byte budget ([`Phase::GridBuild`]), and
+    /// labels core points on the pool, one task per cell, checkpointing
+    /// `ctl` once per cell ([`Phase::Labeling`], which also covers the
+    /// core-cell collection). The grid build itself is atomic (a single
+    /// allocation-and-scatter pass, not task-shaped). Under `abort` the
+    /// caller converts the observed expiry to the typed error after this
+    /// returns; under `partial` the unlabeled cells simply come back
+    /// non-core. `config.deadline` is ignored (`ctl` carries the budget); a
+    /// labeling panic follows `config.recovery`.
     pub fn try_build_ctl<S: StatsSink>(
         points: &[Point<D>],
         params: DbscanParams,
-        limits: &ResourceLimits,
+        config: &ParConfig,
         stats: &S,
         ctl: &RunCtl,
     ) -> Result<Self, DbscanError> {
+        with_fallback(config, stats, ctl, |exec| {
+            Self::build_on(points, params, exec)
+        })
+    }
+
+    /// One attempt of [`CoreCells::try_build_ctl`], on `exec`'s pool.
+    pub(crate) fn build_on<S: StatsSink>(
+        points: &[Point<D>],
+        params: DbscanParams,
+        exec: &Exec<'_, S>,
+    ) -> Result<Self, DbscanError> {
+        let stats = exec.stats;
         crate::validate::check_points_finite(points)?;
         let span = stats.now();
-        let grid = GridIndex::try_build(points, params.eps(), limits.max_index_bytes)?;
+        let grid = GridIndex::try_build(points, params.eps(), exec.limits.max_index_bytes)?;
         stats.finish(Phase::GridBuild, span);
         let span = stats.now();
-        let is_core = label_core_points_ctl(points, &grid, params, stats, ctl);
+        let is_core = label_core_points(points, &grid, params, exec)?;
 
         let mut core_cells = Vec::new();
         let mut rank_of_cell = vec![u32::MAX; grid.num_cells()];
@@ -203,10 +195,9 @@ impl<const D: usize> CoreCells<D> {
     /// Calls `f(r2)` for every candidate partner of rank `r1`: the ε-neighbor
     /// core cells with rank greater than `r1`. Iterating every rank therefore
     /// enumerates each unordered candidate pair of `G` exactly once — the
-    /// shared enumeration behind the sequential connect loop and the parallel
-    /// per-cell edge tasks, which is what keeps their
-    /// [`Counter::EdgeTests`](crate::stats::Counter::EdgeTests) totals
-    /// identical.
+    /// per-cell edge tasks of the pipeline, which is what keeps the
+    /// [`Counter::EdgeTests`](crate::stats::Counter::EdgeTests) total
+    /// identical at every thread count.
     pub fn for_candidate_partners(&self, r1: usize, mut f: impl FnMut(usize)) {
         for &nb in self.grid.neighbors_of(self.core_cells[r1]) {
             let r2 = self.rank_of_cell[nb as usize];
@@ -219,7 +210,7 @@ impl<const D: usize> CoreCells<D> {
     /// Scheduling weight of rank `r1`'s edge-test task: Σ |c₁|·|c₂| over its
     /// candidate pairs — an upper bound on the pair-test cost (the
     /// brute-force scan is exactly that product; tree probes and counter
-    /// queries are cheaper). Used by the parallel layer to order tasks
+    /// queries are cheaper). Used by multi-worker pools to order tasks
     /// heaviest-first (see [`crate::scheduler`]).
     pub fn edge_task_weight(&self, r1: usize) -> u64 {
         let len1 = self.core_points_of[r1].len() as u64;
@@ -231,225 +222,10 @@ impl<const D: usize> CoreCells<D> {
     }
 }
 
-/// Computes the connected components of the core-cell graph `G`.
-///
-/// `edge_test(r1, r2)` is consulted for each unordered pair of ε-neighbor core
-/// cells (by rank, `r1 < r2`) that is not already connected — the union-find
-/// short-circuit means an algorithm never pays for an edge that cannot change
-/// the components, mirroring the "all such p have been tried" early exits of the
-/// paper's edge computations.
-pub fn connect_core_cells<const D: usize>(
-    cc: &CoreCells<D>,
-    edge_test: impl FnMut(usize, usize) -> bool,
-) -> UnionFind {
-    connect_core_cells_instrumented(cc, &NoStats, &StdCell::new(0), edge_test)
-}
-
-/// Instrumented twin of [`connect_core_cells`].
-///
-/// Counting semantics: every enumerated candidate pair bumps
-/// [`Counter::EdgeTests`] *before* the union-find short-circuit, so sequential
-/// and parallel runs of the same algorithm report identical edge-test counts;
-/// pairs the short-circuit drops bump [`Counter::EdgeTestsSkipped`] instead of
-/// reaching the closure.
-///
-/// Time attribution: the loop is measured once and split three ways —
-/// `uf.union` nanoseconds go to [`Phase::UnionFind`], nanoseconds the edge
-/// closure reports via `deferred_build_nanos` (lazy kd-tree / counter builds it
-/// performed while deciding an edge) go to [`Phase::StructureBuild`], and the
-/// remainder is [`Phase::EdgeTests`]. Eagerly-built callers pass a fresh zero
-/// cell.
-pub fn connect_core_cells_instrumented<const D: usize, S: StatsSink>(
-    cc: &CoreCells<D>,
-    stats: &S,
-    deferred_build_nanos: &StdCell<u64>,
-    edge_test: impl FnMut(usize, usize) -> bool,
-) -> UnionFind {
-    connect_impl(cc, stats, deferred_build_nanos, None, edge_test)
-}
-
-/// Deadline-aware twin of [`connect_core_cells_instrumented`]: checkpoints
-/// the budget once per core cell (the parallel layer's task granularity).
-/// Under `degrade` the checkpoint never stops the loop — it only flips
-/// [`RunCtl::edge_degraded`], and the *closure* (owned by the algorithm)
-/// switches to its approximate path; under `partial`/`abort` the loop breaks
-/// and the union-find holds exactly the edges decided so far.
-pub fn connect_core_cells_ctl<const D: usize, S: StatsSink>(
-    cc: &CoreCells<D>,
-    stats: &S,
-    deferred_build_nanos: &StdCell<u64>,
-    ctl: &RunCtl,
-    edge_test: impl FnMut(usize, usize) -> bool,
-) -> UnionFind {
-    connect_impl(cc, stats, deferred_build_nanos, Some(ctl), edge_test)
-}
-
-fn connect_impl<const D: usize, S: StatsSink>(
-    cc: &CoreCells<D>,
-    stats: &S,
-    deferred_build_nanos: &StdCell<u64>,
-    ctl: Option<&RunCtl>,
-    mut edge_test: impl FnMut(usize, usize) -> bool,
-) -> UnionFind {
-    let ctl = ctl.filter(|c| c.armed());
-    if let Some(ctl) = ctl {
-        ctl.stage_begin(StageId::EdgeTests, cc.num_core_cells() as u64);
-    }
-    let span = stats.now();
-    let mut union_nanos = 0u64;
-    let mut uf = UnionFind::new(cc.num_core_cells());
-    for (r1, &cell1) in cc.core_cells.iter().enumerate() {
-        if let Some(ctl) = ctl {
-            if ctl.should_stop() {
-                break;
-            }
-        }
-        for &nb in cc.grid.neighbors_of(cell1) {
-            let r2 = cc.rank_of_cell[nb as usize];
-            if r2 == u32::MAX || (r2 as usize) <= r1 {
-                continue;
-            }
-            stats.bump(Counter::EdgeTests);
-            if uf.same(r1 as u32, r2) {
-                stats.bump(Counter::EdgeTestsSkipped);
-                continue;
-            }
-            let hit = if S::TRACE_ENABLED {
-                let t = Instant::now();
-                let hit = edge_test(r1, r2 as usize);
-                stats.trace_hist(
-                    crate::trace::hist::HistKind::EdgeTestNanos,
-                    t.elapsed().as_nanos() as u64,
-                );
-                hit
-            } else {
-                edge_test(r1, r2 as usize)
-            };
-            if hit {
-                stats.bump(Counter::EdgesFound);
-                stats.bump(Counter::UnionOps);
-                if S::ENABLED {
-                    let t = Instant::now();
-                    uf.union(r1 as u32, r2);
-                    union_nanos += t.elapsed().as_nanos() as u64;
-                } else {
-                    uf.union(r1 as u32, r2);
-                }
-            }
-        }
-        if let Some(ctl) = ctl {
-            ctl.stage_done(StageId::EdgeTests, 1);
-        }
-    }
-    if let Some(start) = span {
-        let total = start.elapsed().as_nanos() as u64;
-        let deferred = deferred_build_nanos.get();
-        let edge = total.saturating_sub(union_nanos + deferred);
-        stats.add_phase_nanos(Phase::UnionFind, union_nanos);
-        stats.add_phase_nanos(Phase::StructureBuild, deferred);
-        stats.add_phase_nanos(Phase::EdgeTests, edge);
-        if S::TRACE_ENABLED {
-            // Same nanos as the stats attribution above, rendered as three
-            // consecutive coordinator sub-spans from the loop's start —
-            // placement is synthetic (the three kinds of work interleave),
-            // durations are exact.
-            stats.trace_connect_spans(start, edge, union_nanos, deferred);
-        }
-    }
-    uf
-}
-
-/// Turns the connected components of `G` into the final [`Clustering`]:
-/// core points inherit their cell's component, border points are assigned to
-/// every cluster owning a core point within ε, the rest is noise (Section 2.2,
-/// "Assigning Border Points").
-pub fn assemble_clustering<const D: usize>(
-    points: &[Point<D>],
-    cc: &CoreCells<D>,
-    uf: &mut UnionFind,
-) -> Clustering {
-    assemble_clustering_instrumented(points, cc, uf, &NoStats)
-}
-
-/// Instrumented twin of [`assemble_clustering`]: the whole assembly pass
-/// (label compaction, core assignment, border assignment) is timed as
-/// [`Phase::BorderAssign`].
-pub fn assemble_clustering_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    cc: &CoreCells<D>,
-    uf: &mut UnionFind,
-    stats: &S,
-) -> Clustering {
-    let span = stats.now();
-    let out = assemble_impl(points, cc, uf, None);
-    stats.finish(Phase::BorderAssign, span);
-    out
-}
-
-/// Deadline-aware twin of [`assemble_clustering_instrumented`]: the border
-/// pass checkpoints the budget once per non-core point. Core-point
-/// assignment (a scatter over the union-find components) always completes —
-/// it is what makes a `partial` result a coherent clustering; only border
-/// assignment can be truncated, in which case the remaining border points
-/// come back as noise (the conservative direction: never a wrong cluster).
-pub fn assemble_clustering_ctl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    cc: &CoreCells<D>,
-    uf: &mut UnionFind,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Clustering {
-    let span = stats.now();
-    let out = assemble_impl(points, cc, uf, Some(ctl).filter(|c| c.armed()));
-    stats.finish(Phase::BorderAssign, span);
-    out
-}
-
-fn assemble_impl<const D: usize>(
-    points: &[Point<D>],
-    cc: &CoreCells<D>,
-    uf: &mut UnionFind,
-    ctl: Option<&RunCtl>,
-) -> Clustering {
-    let (component_of_rank, num_clusters) = uf.compact_labels();
-
-    let mut assignments = vec![Assignment::Noise; points.len()];
-    for (rank, core_pts) in cc.core_points_of.iter().enumerate() {
-        let cluster = component_of_rank[rank];
-        for &p in core_pts {
-            assignments[p as usize] = Assignment::Core(cluster);
-        }
-    }
-    if let Some(ctl) = ctl {
-        let non_core = points.len() as u64 - cc.num_core_points() as u64;
-        ctl.stage_begin(StageId::BorderAssign, non_core);
-    }
-    for p in 0..points.len() as u32 {
-        if cc.is_core[p as usize] {
-            continue;
-        }
-        if let Some(ctl) = ctl {
-            if ctl.should_stop() {
-                break;
-            }
-        }
-        let clusters = assign_border_clusters(points, cc, &component_of_rank, p);
-        if !clusters.is_empty() {
-            assignments[p as usize] = Assignment::Border(clusters);
-        }
-        if let Some(ctl) = ctl {
-            ctl.stage_done(StageId::BorderAssign, 1);
-        }
-    }
-    Clustering {
-        assignments,
-        num_clusters,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{assemble_with, connect_with};
     use dbscan_geom::point::p2;
 
     fn params(eps: f64, min_pts: usize) -> DbscanParams {
@@ -476,14 +252,14 @@ mod tests {
         // Two dense singleton-cell groups within ε of each other.
         let pts = vec![p2(0.0, 0.0), p2(0.0, 0.1), p2(0.9, 0.0), p2(0.9, 0.1)];
         let cc = CoreCells::build(&pts, params(1.0, 2));
-        // With an always-false edge test the cells stay separate...
-        let mut uf = connect_core_cells(&cc, |_, _| false);
-        let expected_cells = cc.num_core_cells();
-        assert_eq!(uf.num_components(), expected_cells);
-        // ...and with an always-true test everything ε-adjacent merges.
-        let mut uf2 = connect_core_cells(&cc, |_, _| true);
-        assert_eq!(uf2.num_components(), 1);
-        let _ = (&mut uf, &mut uf2);
+        for threads in [1, 4] {
+            // With an always-false edge test the cells stay separate...
+            let uf = connect_with(&pts, &cc, threads, |_, _| false);
+            assert_eq!(uf.num_components(), cc.num_core_cells());
+            // ...and with an always-true test everything ε-adjacent merges.
+            let uf = connect_with(&pts, &cc, threads, |_, _| true);
+            assert_eq!(uf.num_components(), 1);
+        }
     }
 
     #[test]
@@ -497,18 +273,20 @@ mod tests {
         ];
         let p = params(1.0, 3);
         let cc = CoreCells::build(&pts, p);
-        let mut uf = connect_core_cells(&cc, |r1, r2| {
-            crate::bcp::within_threshold_brute(
-                &pts,
-                &cc.core_points_of[r1],
-                &cc.core_points_of[r2],
-                p.eps(),
-            )
-        });
-        let clustering = assemble_clustering(&pts, &cc, &mut uf);
-        clustering.validate().unwrap();
-        assert_eq!(clustering.num_clusters, 1);
-        assert!(clustering.assignments[3].is_border());
-        assert!(clustering.assignments[4].is_noise());
+        for threads in [1, 4] {
+            let mut uf = connect_with(&pts, &cc, threads, |r1, r2| {
+                crate::bcp::within_threshold_brute(
+                    &pts,
+                    &cc.core_points_of[r1],
+                    &cc.core_points_of[r2],
+                    p.eps(),
+                )
+            });
+            let clustering = assemble_with(&pts, &cc, &mut uf, threads);
+            clustering.validate().unwrap();
+            assert_eq!(clustering.num_clusters, 1);
+            assert!(clustering.assignments[3].is_border());
+            assert!(clustering.assignments[4].is_noise());
+        }
     }
 }

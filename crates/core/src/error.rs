@@ -248,16 +248,16 @@ pub fn validate_rho(eps: f64, rho: f64) -> Result<(), DbscanError> {
     }
 }
 
-/// What the parallel drivers do when a worker panics mid-run.
+/// What the grid pipeline does when a worker panics mid-run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RecoveryPolicy {
     /// Surface [`DbscanError::WorkerPanicked`] to the caller (the default).
     #[default]
     Fail,
-    /// Transparently re-run the whole computation sequentially (fault
-    /// injection never fires on the sequential path, so the result is the
-    /// unfaulted sequential clustering) and record the event in the stats
-    /// counters `worker_panics` / `sequential_fallbacks`.
+    /// Transparently re-run the same pipeline on the one-thread pool with
+    /// the fault plan off (so the result is the unfaulted clustering) and
+    /// record the event in the stats counters `worker_panics` /
+    /// `sequential_fallbacks`.
     FallbackSequential,
 }
 

@@ -1,126 +1,89 @@
 //! Core-point labeling on the side-`ε/√d` grid (the "labeling process" of
 //! Section 2.2, which carries over verbatim to d ≥ 3 in Section 3.2).
 
-use crate::deadline::{RunCtl, StageId};
+use crate::error::DbscanError;
+use crate::parallel::{Exec, LABELING};
+use crate::scheduler::WorkQueue;
 use crate::stats::{Counter, StatsSink};
 use crate::types::DbscanParams;
 use dbscan_geom::Point;
 use dbscan_index::GridIndex;
+use std::sync::Mutex;
 
 /// Decides for every point whether it is a core point (Definition 1:
-/// `|B(p, ε) ∩ P| ≥ MinPts`, counting `p` itself).
+/// `|B(p, ε) ∩ P| ≥ MinPts`, counting `p` itself), one task per grid cell on
+/// `exec`'s pool (weighted by point count, heaviest first).
 ///
 /// Cells holding at least `MinPts` points are all-core without any distance
 /// computation (every same-cell pair is within ε by the grid's construction).
 /// Points in sparser cells count their ε-ball by scanning the O(1) ε-neighbor
 /// cells with an early stop at `MinPts`, which is what bounds the whole pass by
-/// O(MinPts · n) expected time.
-pub fn label_core_points<const D: usize>(
-    points: &[Point<D>],
-    grid: &GridIndex<D>,
-    params: DbscanParams,
-) -> Vec<bool> {
-    let min_pts = params.min_pts();
-    let mut is_core = vec![false; points.len()];
-    for ci in 0..grid.num_cells() as u32 {
-        let ids = grid.points_of(ci);
-        if ids.len() >= min_pts {
-            for &p in ids {
-                is_core[p as usize] = true;
-            }
-        } else {
-            for &p in ids {
-                is_core[p as usize] = grid.count_within_eps(points, p, min_pts) >= min_pts;
-            }
-        }
-    }
-    is_core
-}
-
-/// Instrumented twin of [`label_core_points`]: additionally records
-/// [`Counter::GridPointsExamined`] — the number of explicit distance
-/// computations the neighborhood scans performed (the dense-cell shortcut and
-/// the same-cell guarantee are free and not counted). Delegates to the
-/// uncounted path when the sink is disabled, so [`crate::NoStats`] callers run
-/// the exact pre-existing code.
-pub fn label_core_points_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    grid: &GridIndex<D>,
-    params: DbscanParams,
-    stats: &S,
-) -> Vec<bool> {
-    if !S::ENABLED {
-        return label_core_points(points, grid, params);
-    }
-    let min_pts = params.min_pts();
-    let mut is_core = vec![false; points.len()];
-    let mut examined = 0u64;
-    let mut kernel_calls = 0u64;
-    for ci in 0..grid.num_cells() as u32 {
-        let ids = grid.points_of(ci);
-        if ids.len() >= min_pts {
-            for &p in ids {
-                is_core[p as usize] = true;
-            }
-        } else {
-            for &p in ids {
-                is_core[p as usize] =
-                    grid.count_within_eps_counted(points, p, min_pts, &mut examined) >= min_pts;
-                kernel_calls += 1;
-            }
-        }
-    }
-    stats.add(Counter::GridPointsExamined, examined);
-    stats.add(Counter::BlockKernelCalls, kernel_calls);
-    is_core
-}
-
-/// Deadline-aware twin of [`label_core_points_instrumented`]: checkpoints the
-/// run's budget once per cell and stops early under a truncating policy.
+/// O(MinPts · n) expected time. With an enabled sink each worker counts its
+/// explicit distance computations ([`Counter::GridPointsExamined`]; the
+/// dense-cell shortcut and the same-cell guarantee are free and not counted)
+/// and neighborhood kernel calls ([`Counter::BlockKernelCalls`]).
+///
 /// Labeling has no approximate fallback, so `degrade` continues exact here
 /// (the switch only affects the edge phase); only `partial`/`abort` stop the
-/// scan. Every verdict already written is final — a cell is either fully
-/// labeled or untouched (`false` = treated as non-core), which is what makes
-/// a truncated labeling a subset-consistent prefix. Delegates to the
-/// existing paths when the control block is unarmed.
-pub fn label_core_points_ctl<const D: usize, S: StatsSink>(
+/// claims. Every verdict written is final — a cell is either fully labeled or
+/// untouched (`false` = treated as non-core), which is what makes a truncated
+/// labeling a subset-consistent prefix.
+pub(crate) fn label_core_points<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     grid: &GridIndex<D>,
     params: DbscanParams,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Vec<bool> {
-    if !ctl.armed() {
-        return label_core_points_instrumented(points, grid, params, stats);
-    }
-    ctl.stage_begin(StageId::Labeling, grid.num_cells() as u64);
+    exec: &Exec<'_, S>,
+) -> Result<Vec<bool>, DbscanError> {
     let min_pts = params.min_pts();
+    let threads = exec.pool.threads();
+    let queue = WorkQueue::new(grid.cells().iter().map(|c| c.len() as u64), threads);
+    #[derive(Default)]
+    struct Tally {
+        core_ids: Vec<u32>,
+        examined: u64,
+        kernel_calls: u64,
+    }
+    // Per-worker result slots (the pool shares one `Fn` body by reference, so
+    // workers cannot return values through join handles).
+    let slots: Vec<Mutex<Vec<u32>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+    exec.run_tasks(
+        &LABELING,
+        &queue,
+        Tally::default,
+        |t, _, cell| {
+            let ids = grid.points_of(cell);
+            if ids.len() >= min_pts {
+                t.core_ids.extend_from_slice(ids);
+                return;
+            }
+            for &p in ids {
+                let count = if S::ENABLED {
+                    t.kernel_calls += 1;
+                    grid.count_within_eps_counted(points, p, min_pts, &mut t.examined)
+                } else {
+                    grid.count_within_eps(points, p, min_pts)
+                };
+                if count >= min_pts {
+                    t.core_ids.push(p);
+                }
+            }
+        },
+        |cell| grid.cell_population(cell) as u64,
+        |w, t| {
+            if S::ENABLED {
+                exec.stats.add(Counter::GridPointsExamined, t.examined);
+                exec.stats.add(Counter::BlockKernelCalls, t.kernel_calls);
+            }
+            *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = t.core_ids;
+        },
+    )?;
     let mut is_core = vec![false; points.len()];
-    let mut examined = 0u64;
-    let mut kernel_calls = 0u64;
-    for ci in 0..grid.num_cells() as u32 {
-        if ctl.should_stop() {
-            break;
+    for slot in slots {
+        for p in slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            is_core[p as usize] = true;
         }
-        let ids = grid.points_of(ci);
-        if ids.len() >= min_pts {
-            for &p in ids {
-                is_core[p as usize] = true;
-            }
-        } else {
-            for &p in ids {
-                is_core[p as usize] =
-                    grid.count_within_eps_counted(points, p, min_pts, &mut examined) >= min_pts;
-                kernel_calls += 1;
-            }
-        }
-        ctl.stage_done(StageId::Labeling, 1);
     }
-    if S::ENABLED {
-        stats.add(Counter::GridPointsExamined, examined);
-        stats.add(Counter::BlockKernelCalls, kernel_calls);
-    }
-    is_core
+    Ok(is_core)
 }
 
 /// Reference labeling by brute force — O(n²), used by tests and available for
@@ -146,37 +109,47 @@ pub fn label_core_points_brute<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::RunCtl;
+    use crate::error::ResourceLimits;
+    use crate::faults::FaultPlan;
+    use crate::scheduler::WorkerPool;
+    use crate::stats::NoStats;
     use dbscan_geom::point::p2;
 
     fn params(eps: f64, min_pts: usize) -> DbscanParams {
         DbscanParams::new(eps, min_pts).unwrap()
     }
 
-    /// The paper's Figure 2 example: two circles of radius ε, MinPts = 4.
-    /// We reconstruct a configuration with the same qualitative structure.
+    /// Grid labeling of `pts` on a `threads`-worker pool.
+    fn labels(pts: &[Point<2>], p: DbscanParams, threads: usize) -> Vec<bool> {
+        let grid = GridIndex::build(pts, p.eps());
+        let exec = Exec {
+            pool: &WorkerPool::global(threads),
+            faults: &FaultPlan::default(),
+            limits: &ResourceLimits::UNLIMITED,
+            stats: &NoStats,
+            ctl: &RunCtl::unlimited(),
+        };
+        label_core_points(pts, &grid, p, &exec).unwrap()
+    }
+
     #[test]
     fn dense_cell_marks_all_core() {
         // Five coincident points with MinPts 4: all core without neighbor scans.
         let pts = vec![p2(1.0, 1.0); 5];
-        let grid = GridIndex::build(&pts, 1.0);
-        let labels = label_core_points(&pts, &grid, params(1.0, 4));
-        assert!(labels.iter().all(|&c| c));
+        assert!(labels(&pts, params(1.0, 4), 1).iter().all(|&c| c));
     }
 
     #[test]
     fn isolated_point_is_not_core() {
         let pts = vec![p2(0.0, 0.0), p2(100.0, 100.0)];
-        let grid = GridIndex::build(&pts, 1.0);
-        let labels = label_core_points(&pts, &grid, params(1.0, 2));
-        assert_eq!(labels, vec![false, false]);
+        assert_eq!(labels(&pts, params(1.0, 2), 1), vec![false, false]);
     }
 
     #[test]
     fn min_pts_one_makes_everything_core() {
         let pts = vec![p2(0.0, 0.0), p2(50.0, 0.0), p2(0.0, 50.0)];
-        let grid = GridIndex::build(&pts, 1.0);
-        let labels = label_core_points(&pts, &grid, params(1.0, 1));
-        assert!(labels.iter().all(|&c| c));
+        assert!(labels(&pts, params(1.0, 1), 1).iter().all(|&c| c));
     }
 
     #[test]
@@ -184,9 +157,7 @@ mod tests {
         // Exactly MinPts = 2 points at distance exactly eps: both core
         // (closed ball).
         let pts = vec![p2(0.0, 0.0), p2(3.0, 4.0)];
-        let grid = GridIndex::build(&pts, 5.0);
-        let labels = label_core_points(&pts, &grid, params(5.0, 2));
-        assert_eq!(labels, vec![true, true]);
+        assert_eq!(labels(&pts, params(5.0, 2), 1), vec![true, true]);
     }
 
     #[test]
@@ -201,12 +172,14 @@ mod tests {
         let pts: Vec<_> = (0..400).map(|_| p2(next(), next())).collect();
         for (eps, min_pts) in [(1.0, 3), (2.5, 5), (0.3, 2), (10.0, 50)] {
             let p = params(eps, min_pts);
-            let grid = GridIndex::build(&pts, eps);
-            assert_eq!(
-                label_core_points(&pts, &grid, p),
-                label_core_points_brute(&pts, p),
-                "eps={eps} min_pts={min_pts}"
-            );
+            let brute = label_core_points_brute(&pts, p);
+            for threads in [1, 3, 8] {
+                assert_eq!(
+                    labels(&pts, p, threads),
+                    brute,
+                    "eps={eps} min_pts={min_pts} threads={threads}"
+                );
+            }
         }
     }
 }

@@ -16,10 +16,15 @@
 //! guaranteed by Theorem 3 to be sandwiched between the exact clusterings at `ε`
 //! and `ε(1+ρ)`.
 //!
-//! Shared machinery lives in the submodules: [`labeling`] (core-point
-//! identification on the grid), [`bcp`] (bichromatic closest-pair tests),
-//! [`cells`] (the core-cell graph and cluster assembly), [`border`] (border-point
-//! assignment), [`unionfind`], and [`usec`] (Lemma 4). The blocked
+//! The three grid algorithms run one pipeline, [`parallel`]: grid, core
+//! labeling, the core-cell graph `G` built by a single edge loop from each
+//! algorithm's edge oracle, and border assignment, on a [`WorkerPool`] of any
+//! size — a sequential run is the one-thread pool, which runs inline and
+//! spawns no thread. Shared machinery lives in the submodules: [`labeling`]
+//! (core-point identification on the grid), [`bcp`] (bichromatic
+//! closest-pair tests), [`cells`] (the core cells, the vertices of `G`),
+//! [`border`] (border-point assignment), [`unionfind`], and [`usec`]
+//! (Lemma 4). The blocked
 //! structure-of-arrays distance kernels behind the BCP, labeling, and border
 //! hot paths are re-exported as [`kernels`] (implemented in
 //! `dbscan_geom::kernels`).

@@ -1,58 +1,65 @@
-//! Multi-threaded variants of the paper's two grid algorithms.
+//! The grid pipeline shared by the paper's three grid algorithms, on a
+//! [`WorkerPool`] of any size.
 //!
-//! The paper's algorithms decompose into per-cell work (labeling, per-cell
-//! structures, border assignment) and per-pair work (the ε-neighbor edge
-//! tests of the core-cell graph `G`). Both are parallelized here over a
+//! Gunawan's 2D algorithm, the exact algorithm (Section 3.2) and the
+//! ρ-approximate algorithm (Section 4.4) decompose into per-cell work
+//! (labeling, border assignment) and per-pair work (the ε-neighbor edge tests
+//! of the core-cell graph `G`); only the edge rule differs (see
+//! [`crate::cells`]). Every stage runs here as tasks claimed from a
 //! [`WorkQueue`] — a std-only self-scheduling task list, heaviest task first
-//! (see [`crate::scheduler`]) — instead of the static contiguous chunking of
-//! the earlier design, which load-imbalanced badly on skewed cell
-//! populations.
+//! (see [`crate::scheduler`]). A *sequential* run is the same pipeline on a
+//! one-thread pool: [`WorkerPool::global`]`(1)` spawns no thread and runs each
+//! stage inline on the caller, and a single claimant drains every queue in
+//! natural order (cells, then ranks), which is exactly the order of the
+//! classic sequential loops. So the sequential entry points in
+//! [`crate::algorithms`] and the `*_par` entry points below differ only in the
+//! pool they hand the pipeline.
 //!
 //! The edge phase is *fused*: one barrier-free stage performs lazy per-cell
 //! structure builds (kd-trees / Lemma 5 counters, each built at most once via
 //! [`OnceLock`] by whichever worker first needs it), the pair tests, and the
 //! unions — into a lock-free [`ConcurrentUnionFind`]. Because unions land in
 //! a structure every worker can read *live*, workers skip candidate pairs
-//! whose cells another worker already joined, exactly like the sequential
-//! path's `uf.same` short-circuit. [`Counter::EdgeTestsSkipped`] is therefore
-//! nonzero in parallel runs again (its exact value is timing-dependent; the
-//! evaluated-pair set it leaves behind always yields the same components).
-//! An earlier design collected edges per chunk behind a barrier and unioned
-//! them sequentially, and had to give that short-circuit up.
+//! whose cells are already joined ([`Counter::EdgeTestsSkipped`]).
 //!
-//! Results are bit-identical to the sequential versions: the edge predicates
-//! are deterministic, a skipped pair is by definition already connected (a
+//! Results are bit-identical across thread counts: the edge predicates are
+//! deterministic, a skipped pair is by definition already connected (a
 //! `same() == true` answer is definitive even mid-race), union by index makes
 //! the final partition independent of thread timing, and
 //! [`UnionFind::compact_labels`] assigns cluster ids by first appearance over
 //! ranks, independent of forest shape.
 //!
+//! # Counters across thread counts
+//!
+//! At one thread every [`Counter`] is deterministic. At more threads the
+//! candidate-pair enumeration is still identical ([`Counter::EdgeTests`]
+//! agrees exactly), but [`Counter::EdgeTestsSkipped`] and everything that
+//! follows from which pairs were skipped (decision, build/cache-hit and
+//! query counts), [`Counter::TasksStolen`] and [`Counter::UfCasRetries`]
+//! depend on thread timing.
+//!
 //! # Worker pool
 //!
-//! All three phases (labeling, the fused edge stage, border assignment) run
+//! All three stages (labeling, the fused edge stage, border assignment) run
 //! on a persistent [`WorkerPool`]: workers are spawned once — lazily through
 //! the process-wide [`WorkerPool::global`] cache, or explicitly via
 //! [`ParConfig::pool`] for callers that manage their own handle — and parked
-//! on a condvar between phases. Successive phases are handed to the same
-//! workers through the pool's epoch protocol; the per-phase [`WorkQueue`],
-//! [`Heartbeats`], [`Poison`] latch, and [`RunCtl`] checkpoints all rebind
-//! per phase exactly as they did when each phase spawned its own
-//! `std::thread::scope`. (The earlier scoped design respawned `threads`
-//! workers up to six times per clustering run; at n=20k that spawn overhead
-//! alone exceeded the useful edge work by two orders of magnitude.)
+//! on a condvar between stages.
 //!
 //! The `*_instrumented` entry points share one [`StatsSink`] across all
 //! worker threads (its counters are relaxed atomics); workers accumulate
-//! counts in locals and flush once per phase. Phase times are wall-clock
+//! counts in locals and flush once per stage. Phase times are wall-clock
 //! spans measured on the coordinating thread. The fused edge stage's span is
-//! split three ways, mirroring the sequential connect loop: nanoseconds the
-//! workers spent in lazy `OnceLock` structure builds go to
-//! [`Phase::StructureBuild`], nanoseconds spent in `cuf.union` go to
-//! [`Phase::UnionFind`], and the remainder is [`Phase::EdgeTests`]. The
-//! build/union figures are *summed per-worker* time, so with more than one
-//! worker they are attribution shares rather than exclusive wall-clock spans;
-//! both are capped at the stage span so the disjoint-phases invariant (the
-//! named phases never sum past [`Phase::Total`]) holds on any core count.
+//! split three ways: nanoseconds the workers spent in lazy `OnceLock`
+//! structure builds go to [`Phase::StructureBuild`], nanoseconds spent in
+//! `cuf.union` go to [`Phase::UnionFind`], and the remainder is
+//! [`Phase::EdgeTests`]. The build/union figures are *summed per-worker*
+//! time, so with more than one worker they are attribution shares rather
+//! than exclusive wall-clock spans; both are capped at the stage span so the
+//! disjoint-phases invariant (the named phases never sum past
+//! [`Phase::Total`]) holds on any core count. Task spans, steal instants and
+//! heartbeats describe pool threads, so a one-thread run records none: its
+//! only timeline is the caller's (lane 0), which holds the phase spans.
 //!
 //! # Fault isolation
 //!
@@ -63,10 +70,10 @@
 //! cooperatively (no abort, no hang, no half-written output — stage results
 //! are discarded wholesale on poison). The driver then surfaces
 //! [`DbscanError::WorkerPanicked`] — or, under
-//! [`RecoveryPolicy::FallbackSequential`], transparently re-runs the
-//! sequential algorithm, which shares no state with the poisoned attempt and
-//! therefore produces the exact sequential result. Both events are visible in
-//! the stats report ([`Counter::WorkerPanics`],
+//! [`RecoveryPolicy::FallbackSequential`], re-runs the same pipeline on the
+//! one-thread pool with the fault plan off; it shares no state with the
+//! poisoned attempt and therefore produces the exact unfaulted result. Both
+//! events are visible in the stats report ([`Counter::WorkerPanics`],
 //! [`Counter::SequentialFallbacks`]).
 //!
 //! The deterministic chaos hooks ([`FaultPlan`]) are compiled to no-ops
@@ -81,38 +88,37 @@
 //! claim). Under [`DeadlinePolicy::Degrade`](crate::deadline::DeadlinePolicy)
 //! the edge stage instead switches the remaining pair tests to the Lemma 5
 //! approximate counters (see [`crate::deadline`] for why the mixed result is
-//! still a legal ρ′-approximate clustering). A coordinator-side stall
-//! watchdog — armed by [`DeadlineConfig::stall_timeout`] — watches per-worker
-//! [`Heartbeats`]; a worker that stops beating past the threshold emits a
-//! `stall` trace instant and poisons the run through the same latch a panic
-//! uses, so stalls escalate to the existing [`RecoveryPolicy`] machinery.
+//! still a legal ρ′-approximate clustering). On pools of more than one
+//! thread a coordinator-side stall watchdog — armed by
+//! [`DeadlineConfig::stall_timeout`](crate::DeadlineConfig) — watches
+//! per-worker [`Heartbeats`]; a worker that stops beating past the threshold
+//! emits a `stall` trace instant and poisons the run through the same latch
+//! a panic uses, so stalls escalate to the existing [`RecoveryPolicy`]
+//! machinery.
 
-use crate::algorithms::BcpStrategy;
-use crate::bcp;
-use crate::border::assign_border_clusters;
-use crate::cells::{assemble_clustering_ctl, CoreCells};
-use crate::deadline::{
-    precheck_degrade, DeadlineConfig, DeadlineReport, Heartbeats, RunCtl, StageId,
+use crate::algorithms::{
+    counter_edge_test, grid_exact_run, rho_approx_run, BcpStrategy, CounterSlots,
 };
-use crate::error::{validate_rho, DbscanError, RecoveryPolicy, ResourceLimits};
+use crate::border::assign_border_clusters;
+use crate::cells::CoreCells;
+use crate::deadline::{precheck_degrade, DeadlineConfig, Heartbeats, RunCtl, StageId};
+use crate::error::{DbscanError, RecoveryPolicy, ResourceLimits};
 use crate::faults::{FaultPlan, FaultSite};
-use crate::labeling::label_core_points_ctl;
 use crate::scheduler::{Poison, WorkQueue, WorkerPool};
 use crate::stats::{Counter, NoStats, Phase, StatsSink};
 use crate::trace::{hist::HistKind, EventName};
 use crate::types::{Assignment, Clustering, DbscanParams};
 use crate::unionfind::{ConcurrentUnionFind, UnionFind};
-use dbscan_geom::grid::{base_side, hierarchy_levels};
 use dbscan_geom::Point;
-use dbscan_index::{ApproxRangeCounter, GridIndex, KdTree};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Configuration for the fallible `try_*_par` entry points: worker count,
-/// what to do when a worker panics, resource budgets, and the (test-only)
-/// fault-injection plan.
+/// Configuration of a pipeline run (the `try_*_par` entry points, the
+/// `*_from_cells_ctl` runs and [`CoreCells::try_build_ctl`]): worker count
+/// or pool, what to do when a worker panics, resource budgets, and the
+/// (test-only) fault-injection plan.
 #[derive(Clone, Debug, Default)]
 pub struct ParConfig {
     /// Worker threads; `None` defers to [`resolve_threads`].
@@ -143,6 +149,15 @@ impl ParConfig {
             ..ParConfig::default()
         }
     }
+
+    /// The config of a sequential run: the one-thread pool under `limits`.
+    pub(crate) fn sequential(limits: &ResourceLimits) -> Self {
+        ParConfig {
+            threads: Some(1),
+            limits: *limits,
+            ..ParConfig::default()
+        }
+    }
 }
 
 /// Environment variable consulted when no explicit thread count is given.
@@ -167,8 +182,9 @@ pub fn resolve_threads(threads: Option<usize>) -> usize {
         // `available_parallelism` walks cgroup files on Linux — tens of
         // microseconds per call, which a pooled run pays on *every* launch.
         // The count is stable for the process lifetime, so resolve it once.
-        None | Some(0) => *ALL_CORES
-            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        None | Some(0) => {
+            *ALL_CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        }
         Some(t) => t,
     }
 }
@@ -185,29 +201,176 @@ fn resolve_pool(config: &ParConfig) -> Arc<WorkerPool> {
         .unwrap_or_else(|| WorkerPool::global(resolve_threads(config.threads)))
 }
 
-/// Runs one phase body on the pool, with the coordinator-side stall watchdog
-/// scoped around it when [`RunCtl::stall_timeout`] is armed. The watchdog is
-/// the one remaining per-phase thread spawn, and only on runs that opt into
-/// stall detection; it exits as soon as every worker marks its heartbeat done
-/// (which each phase body does before returning).
-#[allow(clippy::too_many_arguments)]
-fn run_pool_phase<S: StatsSink, F: Fn(usize) + Sync>(
-    pool: &WorkerPool,
-    ctl: &RunCtl,
-    hb: &Heartbeats,
-    poison: &Poison,
-    queue: &WorkQueue,
-    phase: &'static str,
+/// Runs `attempt` on `config`'s pool and fault plan. Under
+/// [`RecoveryPolicy::FallbackSequential`] a [`DbscanError::WorkerPanicked`]
+/// is absorbed by running `attempt` again on the one-thread pool with the
+/// fault plan off (recorded as [`Counter::SequentialFallbacks`]). The rerun
+/// shares the caller's [`RunCtl`], so whatever time budget remains carries
+/// over and its stages re-declare their totals.
+pub(crate) fn with_fallback<S: StatsSink, T>(
+    config: &ParConfig,
     stats: &S,
-    body: F,
-) {
-    if let Some(stall) = ctl.stall_timeout() {
-        std::thread::scope(|s| {
-            s.spawn(|| stall_watchdog(stall, hb, poison, queue, phase, stats));
-            pool.run_phase(&body);
-        });
-    } else {
-        pool.run_phase(&body);
+    ctl: &RunCtl,
+    attempt: impl Fn(&Exec<'_, S>) -> Result<T, DbscanError>,
+) -> Result<T, DbscanError> {
+    let exec = |pool: &WorkerPool, faults: &FaultPlan| {
+        attempt(&Exec {
+            pool,
+            faults,
+            limits: &config.limits,
+            stats,
+            ctl,
+        })
+    };
+    match exec(&resolve_pool(config), &config.faults) {
+        Err(DbscanError::WorkerPanicked { .. })
+            if config.recovery == RecoveryPolicy::FallbackSequential =>
+        {
+            stats.bump(Counter::SequentialFallbacks);
+            stats.trace_instant(0, EventName::SequentialFallback, [0, 0]);
+            exec(&WorkerPool::global(1), &FaultPlan::default())
+        }
+        other => other,
+    }
+}
+
+/// What every stage of one pipeline attempt shares: the pool it runs on, the
+/// fault plan its tasks consult, the resource budgets, the stats sink, and
+/// the run's control block.
+pub(crate) struct Exec<'a, S> {
+    pub(crate) pool: &'a WorkerPool,
+    pub(crate) faults: &'a FaultPlan,
+    pub(crate) limits: &'a ResourceLimits,
+    pub(crate) stats: &'a S,
+    pub(crate) ctl: &'a RunCtl,
+}
+
+/// The fixed names of one pipeline stage.
+pub(crate) struct Stage {
+    /// Progress slot in the run's [`RunCtl`].
+    id: StageId,
+    /// Phase name reported by [`DbscanError::WorkerPanicked`].
+    name: &'static str,
+    site: FaultSite,
+    /// Trace name of one claimed task.
+    span: EventName,
+}
+
+pub(crate) const LABELING: Stage = Stage {
+    id: StageId::Labeling,
+    name: "labeling",
+    site: FaultSite::Labeling,
+    span: EventName::TaskLabeling,
+};
+const EDGES: Stage = Stage {
+    id: StageId::EdgeTests,
+    name: "edge_tests",
+    site: FaultSite::EdgeTests,
+    span: EventName::TaskEdge,
+};
+const BORDER: Stage = Stage {
+    id: StageId::BorderAssign,
+    name: "border_assign",
+    site: FaultSite::BorderAssign,
+    span: EventName::TaskBorder,
+};
+
+impl<S: StatsSink> Exec<'_, S> {
+    /// Runs one stage: every worker claims tasks from `queue` until it is
+    /// drained, the run is poisoned, or `ctl` says stop, and runs
+    /// `task(&mut local, worker, task_id)` on each under `catch_unwind`.
+    /// Each worker starts from `init()` and hands its local to
+    /// `finish(worker, local)` once it stops claiming. A panicking task
+    /// poisons the stage and surfaces as [`DbscanError::WorkerPanicked`];
+    /// `payload(task_id)` sizes the task's trace span.
+    pub(crate) fn run_tasks<L>(
+        &self,
+        stage: &Stage,
+        queue: &WorkQueue,
+        init: impl Fn() -> L + Sync,
+        task: impl Fn(&mut L, usize, u32) + Sync,
+        payload: impl Fn(u32) -> u64 + Sync,
+        finish: impl Fn(usize, L) + Sync,
+    ) -> Result<(), DbscanError> {
+        let (pool, faults, stats, ctl) = (self.pool, self.faults, self.stats, self.ctl);
+        let threads = pool.threads();
+        let workers = threads > 1;
+        let stall = ctl.stall_timeout().filter(|_| workers);
+        if ctl.armed() {
+            ctl.stage_begin(stage.id, queue.len() as u64);
+        }
+        let poison = Poison::new();
+        let hb = Heartbeats::new(threads);
+        let body = |w: usize| {
+            let mut local = init();
+            let mut stolen = 0u64;
+            loop {
+                if poison.is_poisoned() {
+                    // cooperative drain after a peer's panic
+                    stats.trace_instant(w + 1, EventName::PoisonTrip, [0, 0]);
+                    queue.close();
+                    break;
+                }
+                if ctl.should_stop() {
+                    // budget tripped: close so peers stop claiming too.
+                    // Under `degrade` this never fires — the edge test flips
+                    // to the approximate path instead.
+                    queue.close();
+                    break;
+                }
+                let Some(claim) = queue.claim(w) else {
+                    break;
+                };
+                if stall.is_some() {
+                    hb.beat(w);
+                }
+                stolen += u64::from(claim.stolen);
+                if claim.stolen {
+                    stats.trace_instant(w + 1, EventName::Steal, [claim.task, claim.home as u32]);
+                }
+                faults.maybe_steal_delay(claim.stolen);
+                let t0 = if workers { stats.trace_start() } else { None };
+                let res = catch_unwind(AssertUnwindSafe(|| {
+                    faults.maybe_panic(stage.site, claim.task);
+                    task(&mut local, w, claim.task);
+                }));
+                if t0.is_some() {
+                    stats.trace_task_span(
+                        w + 1,
+                        stage.span,
+                        t0,
+                        claim.task,
+                        payload(claim.task),
+                        claim.stolen,
+                        claim.home,
+                    );
+                }
+                if let Err(payload) = res {
+                    stats.trace_instant(w + 1, EventName::WorkerPanic, [claim.task, 0]);
+                    poison.record(stage.name, claim.task, payload);
+                    break;
+                }
+                if ctl.armed() {
+                    ctl.stage_done(stage.id, 1);
+                }
+            }
+            hb.mark_done(w);
+            if S::ENABLED {
+                stats.add(Counter::TasksStolen, stolen);
+            }
+            finish(w, local);
+        };
+        match stall {
+            // The watchdog is the one per-stage thread spawn, and only on
+            // runs that opt into stall detection; it exits as soon as every
+            // worker has marked its heartbeat done.
+            Some(stall) => std::thread::scope(|s| {
+                s.spawn(|| stall_watchdog(stall, &hb, &poison, queue, stage.name, stats));
+                pool.run_phase(&body);
+            }),
+            None => pool.run_phase(&body),
+        }
+        check_poison(&poison, stage.name, stats)
     }
 }
 
@@ -282,371 +445,264 @@ fn stall_watchdog<S: StatsSink>(
     }
 }
 
-/// Parallel core-point labeling: workers claim cells (weighted by point
-/// count, heaviest first) from a shared [`WorkQueue`] and return the ids of
-/// points they proved core; the caller scatters them. With an enabled sink
-/// each worker accumulates its distance-computation and steal counts locally
-/// and flushes them once ([`Counter::GridPointsExamined`],
-/// [`Counter::TasksStolen`]). A panicking task poisons the run (the partial
-/// results are discarded) and surfaces as [`DbscanError::WorkerPanicked`].
-fn label_core_points_par<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    grid: &GridIndex<D>,
-    params: DbscanParams,
-    pool: &WorkerPool,
-    faults: &FaultPlan,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Vec<bool>, DbscanError> {
-    let threads = pool.threads();
-    if threads <= 1 || grid.num_cells() < 2 * threads {
-        return Ok(label_core_points_ctl(points, grid, params, stats, ctl));
-    }
-    if ctl.armed() {
-        ctl.stage_begin(StageId::Labeling, grid.num_cells() as u64);
-    }
-    let min_pts = params.min_pts();
-    let queue = WorkQueue::new(grid.cells().iter().map(|c| c.len() as u64), threads);
-    let poison = Poison::new();
-    let hb = Heartbeats::new(threads);
-    let mut is_core = vec![false; points.len()];
-    // Per-worker result slots (the pool shares one `Fn` body by reference, so
-    // workers cannot return values through join handles). One uncontended
-    // lock per worker per phase.
-    let slots: Vec<Mutex<Vec<u32>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    run_pool_phase(pool, ctl, &hb, &poison, &queue, "labeling", stats, |w| {
-        let mut core_ids = Vec::new();
-        let mut examined = 0u64;
-        let mut kernel_calls = 0u64;
-        let mut stolen = 0u64;
-        loop {
-            if poison.is_poisoned() {
-                // cooperative drain after a peer's panic
-                stats.trace_instant(w + 1, EventName::PoisonTrip, [0, 0]);
-                queue.close();
-                break;
-            }
-            if ctl.should_stop() {
-                // budget tripped: close so peers stop claiming too
-                queue.close();
-                break;
-            }
-            let Some(claim) = queue.claim(w) else {
-                break;
-            };
-            hb.beat(w);
-            let cell_id = claim.task;
-            stolen += u64::from(claim.stolen);
-            if claim.stolen {
-                stats.trace_instant(w + 1, EventName::Steal, [cell_id, claim.home as u32]);
-            }
-            faults.maybe_steal_delay(claim.stolen);
-            let t0 = stats.trace_start();
-            let task = catch_unwind(AssertUnwindSafe(|| {
-                faults.maybe_panic(FaultSite::Labeling, cell_id);
-                let ids = grid.points_of(cell_id);
-                if ids.len() >= min_pts {
-                    core_ids.extend_from_slice(ids);
-                } else {
-                    for &p in ids {
-                        let count = if S::ENABLED {
-                            kernel_calls += 1;
-                            grid.count_within_eps_counted(points, p, min_pts, &mut examined)
-                        } else {
-                            grid.count_within_eps(points, p, min_pts)
-                        };
-                        if count >= min_pts {
-                            core_ids.push(p);
-                        }
-                    }
-                }
-            }));
-            stats.trace_task_span(
-                w + 1,
-                EventName::TaskLabeling,
-                t0,
-                cell_id,
-                grid.cell_population(cell_id) as u64,
-                claim.stolen,
-                claim.home,
-            );
-            if let Err(payload) = task {
-                stats.trace_instant(w + 1, EventName::WorkerPanic, [cell_id, 0]);
-                poison.record("labeling", cell_id, payload);
-                break;
-            }
-            if ctl.armed() {
-                ctl.stage_done(StageId::Labeling, 1);
-            }
-        }
-        hb.mark_done(w);
-        if S::ENABLED {
-            stats.add(Counter::GridPointsExamined, examined);
-            stats.add(Counter::BlockKernelCalls, kernel_calls);
-            stats.add(Counter::TasksStolen, stolen);
-        }
-        *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = core_ids;
-    });
-    check_poison(&poison, "labeling", stats)?;
-    for slot in &slots {
-        for &p in slot.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            is_core[p as usize] = true;
-        }
-    }
-    Ok(is_core)
-}
-
-/// Builds [`CoreCells`] with parallel labeling. Phase attribution matches
-/// [`CoreCells::build_instrumented`]: the grid build is [`Phase::GridBuild`],
-/// labeling plus core-cell collection is [`Phase::Labeling`]. Input
-/// validation, the index byte budget, and panic isolation all report through
-/// the typed error.
-fn build_core_cells_par<const D: usize, S: StatsSink>(
+/// Runs one grid algorithm end to end under `config`: core cells (built on
+/// the pool, or `prebuilt`), the edge phase `edges` runs over them, then
+/// border assignment — with the fallback of [`with_fallback`]. `edges`
+/// receives the attempt's [`Graph`] and returns the components of `G`
+/// (normally through [`Graph::connect`]). A `prebuilt` structure skips the
+/// grid build and labeling (the service tier's cache fast path); it must have
+/// been built over exactly `points`, or the run is refused with
+/// [`DbscanError::IndexSizeMismatch`]. [`Phase::Total`] covers exactly the
+/// work this call does.
+pub(crate) fn run_grid<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
-    pool: &WorkerPool,
+    prebuilt: Option<&CoreCells<D>>,
     config: &ParConfig,
     stats: &S,
     ctl: &RunCtl,
-) -> Result<CoreCells<D>, DbscanError> {
-    crate::validate::check_points_finite(points)?;
-    let grid_span = stats.now();
-    let grid = GridIndex::try_build(points, params.eps(), config.limits.max_index_bytes)?;
-    stats.finish(Phase::GridBuild, grid_span);
-    let span = stats.now();
-    let is_core =
-        label_core_points_par(points, &grid, params, pool, &config.faults, stats, ctl)?;
-
-    let mut core_cells = Vec::new();
-    let mut rank_of_cell = vec![u32::MAX; grid.num_cells()];
-    let mut core_points_of = Vec::new();
-    for ci in 0..grid.num_cells() {
-        let core_pts: Vec<u32> = grid
-            .points_of(ci as u32)
-            .iter()
-            .copied()
-            .filter(|&p| is_core[p as usize])
-            .collect();
-        if !core_pts.is_empty() {
-            rank_of_cell[ci] = core_cells.len() as u32;
-            core_cells.push(ci as u32);
-            core_points_of.push(core_pts);
+    edges: impl Fn(&Graph<'_, D, S>) -> Result<UnionFind, DbscanError>,
+) -> Result<Clustering, DbscanError> {
+    if let Some(cells) = prebuilt {
+        if cells.is_core.len() != points.len() {
+            return Err(DbscanError::IndexSizeMismatch {
+                index_len: cells.is_core.len(),
+                points_len: points.len(),
+            });
         }
     }
-    stats.finish(Phase::Labeling, span);
-    // Same layout and attribution as the sequential builder: the SoA gather
-    // is a structure build, not labeling.
-    let span = stats.now();
-    let (core_soa, core_soa_start) = crate::cells::gather_core_soa(points, &core_points_of);
-    stats.finish(Phase::StructureBuild, span);
-    Ok(CoreCells {
-        params,
-        grid,
-        is_core,
-        core_cells,
-        rank_of_cell,
-        core_points_of,
-        core_soa,
-        core_soa_start,
+    precheck_degrade(points, params, ctl)?;
+    with_fallback(config, stats, ctl, |exec| {
+        let total = stats.now();
+        let built;
+        let cc = match prebuilt {
+            Some(cells) => cells,
+            None => {
+                built = CoreCells::build_on(points, params, exec)?;
+                if ctl.aborted() {
+                    return Err(ctl.deadline_error(StageId::Labeling));
+                }
+                &built
+            }
+        };
+        let graph = Graph {
+            points,
+            cc,
+            exec,
+            build_nanos: AtomicU64::new(0),
+        };
+        let mut uf = edges(&graph)?;
+        if ctl.aborted() {
+            return Err(ctl.deadline_error(StageId::EdgeTests));
+        }
+        let out = assemble(points, cc, &mut uf, exec)?;
+        if ctl.aborted() {
+            return Err(ctl.deadline_error(StageId::BorderAssign));
+        }
+        stats.finish(Phase::Total, total);
+        Ok(out)
     })
 }
 
-/// The fused edge phase: workers claim core cells from a [`WorkQueue`]
-/// (weighted by [`CoreCells::edge_task_weight`], heaviest first), run the
-/// read-only `edge_test` on each candidate pair, and union discovered edges
-/// into a shared [`ConcurrentUnionFind`] *while testing continues* — so a
-/// pair whose cells are already connected is skipped
-/// ([`Counter::EdgeTestsSkipped`]), exactly like the sequential
-/// short-circuit.
-///
-/// Every candidate pair counts one [`Counter::EdgeTests`] whether or not it
-/// is skipped, exactly as the sequential loop counts them *before* its
-/// `uf.same` check — so the sequential and parallel totals agree on identical
-/// inputs. `edge_test` is expected to build any per-cell structure it needs
-/// lazily and report nanoseconds spent doing so through `build_nanos` (see
-/// the callers); the stage's wall span — including the final snapshot
-/// conversion to a sequential [`UnionFind`] — is then split into
-/// [`Phase::StructureBuild`] (reported builds), [`Phase::UnionFind`] (summed
-/// `cuf.union` time), and [`Phase::EdgeTests`] (the remainder), mirroring the
-/// sequential connect loop's three-way attribution. Both carve-outs are
-/// capped at the span so the phases stay disjoint on any core count.
-fn connect_par<const D: usize, S: StatsSink>(
-    cc: &CoreCells<D>,
-    pool: &WorkerPool,
-    faults: &FaultPlan,
-    stats: &S,
-    ctl: &RunCtl,
-    build_nanos: &AtomicU64,
-    edge_test: impl Fn(usize, usize) -> bool + Sync,
-) -> Result<UnionFind, DbscanError> {
-    let threads = pool.threads();
-    let m = cc.num_core_cells();
-    if ctl.armed() {
-        ctl.stage_begin(StageId::EdgeTests, m as u64);
+/// One attempt's core-cell graph `G`, as an edge rule sees it.
+pub(crate) struct Graph<'a, const D: usize, S> {
+    pub(crate) points: &'a [Point<D>],
+    pub(crate) cc: &'a CoreCells<D>,
+    pub(crate) exec: &'a Exec<'a, S>,
+    /// Nanoseconds workers spent in [`Graph::lazy`] builds, carved out of the
+    /// edge stage into [`Phase::StructureBuild`].
+    build_nanos: AtomicU64,
+}
+
+impl<const D: usize, S: StatsSink> Graph<'_, D, S> {
+    /// One empty structure slot per core cell, for [`Graph::lazy`].
+    pub(crate) fn slots<T>(&self) -> Vec<OnceLock<T>> {
+        (0..self.cc.num_core_cells())
+            .map(|_| OnceLock::new())
+            .collect()
     }
-    let span = stats.now();
-    // The weight pass re-enumerates every candidate pair — worth it only
-    // when there is more than one claimant to balance across.
-    let queue = if threads > 1 {
-        WorkQueue::new((0..m).map(|r| cc.edge_task_weight(r)), threads)
-    } else {
-        WorkQueue::unweighted(m, threads)
-    };
-    let cuf = ConcurrentUnionFind::new(m);
-    let poison = Poison::new();
-    let hb = Heartbeats::new(threads);
-    let union_nanos = AtomicU64::new(0);
-    run_pool_phase(pool, ctl, &hb, &poison, &queue, "edge_tests", stats, |w| {
-        let mut tests = 0u64;
-        let mut skipped = 0u64;
-        let mut edges = 0u64;
-        let mut retries = 0u64;
-        let mut stolen = 0u64;
-        let mut unions_ns = 0u64;
-        loop {
-            if poison.is_poisoned() {
-                // cooperative drain after a peer's panic
-                stats.trace_instant(w + 1, EventName::PoisonTrip, [0, 0]);
-                queue.close();
-                break;
-            }
-            if ctl.should_stop() {
-                // budget tripped: close so peers stop claiming too.
-                // Under `degrade` this branch never fires — the edge
-                // closure flips to the approximate path instead.
-                queue.close();
-                break;
-            }
-            let Some(claim) = queue.claim(w) else {
-                break;
-            };
-            hb.beat(w);
-            let r1 = claim.task;
-            stolen += u64::from(claim.stolen);
-            if claim.stolen {
-                stats.trace_instant(w + 1, EventName::Steal, [r1, claim.home as u32]);
-            }
-            faults.maybe_steal_delay(claim.stolen);
-            let retries_before = retries;
-            let t0 = stats.trace_start();
-            let task = catch_unwind(AssertUnwindSafe(|| {
-                faults.maybe_panic(FaultSite::EdgeTests, r1);
+
+    /// The structure in `slot`, built by `build` on first use (by whichever
+    /// worker needs it first; the others wait for it), and whether this call
+    /// built it. Build time is reported as [`Phase::StructureBuild`]. The
+    /// cache-hit fast path is one `OnceLock::get` load and no clock read.
+    pub(crate) fn lazy<'s, T>(
+        &self,
+        slot: &'s OnceLock<T>,
+        build: impl FnOnce() -> T,
+    ) -> (&'s T, bool) {
+        if let Some(v) = slot.get() {
+            return (v, false);
+        }
+        let t0 = S::ENABLED.then(Instant::now);
+        let mut built = false;
+        let v = slot.get_or_init(|| {
+            built = true;
+            build()
+        });
+        if let (true, Some(t0)) = (built, t0) {
+            self.build_nanos
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        (v, built)
+    }
+
+    /// The fused edge stage: workers claim core cells from a [`WorkQueue`]
+    /// (weighted by [`CoreCells::edge_task_weight`], heaviest first, when
+    /// there is more than one claimant), run `oracle` on each candidate pair
+    /// `(r1, r2)` (ranks, `r1 < r2`), and union discovered edges into a
+    /// shared [`ConcurrentUnionFind`] *while testing continues* — so a pair
+    /// whose cells are already connected is skipped
+    /// ([`Counter::EdgeTestsSkipped`]), mirroring the "all such p have been
+    /// tried" early exits of the paper's edge computations.
+    ///
+    /// Every candidate pair counts one [`Counter::EdgeTests`] whether or not
+    /// it is skipped, so the count is identical at every thread count. Once
+    /// a `degrade` deadline trips, the remaining pairs go to
+    /// [`degraded_edge_test_shared`] instead of `oracle`. The stage's wall
+    /// span — including the final snapshot conversion to a sequential
+    /// [`UnionFind`] — is split into [`Phase::StructureBuild`] (the
+    /// [`Graph::lazy`] builds), [`Phase::UnionFind`] (summed `cuf.union`
+    /// time), and [`Phase::EdgeTests`] (the remainder).
+    pub(crate) fn connect(
+        &self,
+        oracle: impl Fn(usize, usize) -> bool + Sync,
+    ) -> Result<UnionFind, DbscanError> {
+        let (cc, stats, ctl) = (self.cc, self.exec.stats, self.exec.ctl);
+        let threads = self.exec.pool.threads();
+        let m = cc.num_core_cells();
+        let degrade_counters = if ctl.may_degrade() {
+            self.slots()
+        } else {
+            Vec::new()
+        };
+        let span = stats.now();
+        // The weight pass re-enumerates every candidate pair — worth it only
+        // when there is more than one claimant to balance across.
+        let queue = if threads > 1 {
+            WorkQueue::new((0..m).map(|r| cc.edge_task_weight(r)), threads)
+        } else {
+            WorkQueue::unweighted(m, threads)
+        };
+        let cuf = ConcurrentUnionFind::new(m);
+        let union_nanos = AtomicU64::new(0);
+        #[derive(Default)]
+        struct Tally {
+            tests: u64,
+            skipped: u64,
+            edges: u64,
+            retries: u64,
+            unions_ns: u64,
+        }
+        self.exec.run_tasks(
+            &EDGES,
+            &queue,
+            Tally::default,
+            |t, w, r1| {
+                let retries_before = t.retries;
                 let r1 = r1 as usize;
                 cc.for_candidate_partners(r1, |r2| {
-                    tests += 1;
+                    t.tests += 1;
                     // A `true` from the concurrent structure is definitive
                     // even mid-race, so skipping can only drop a pair that
                     // is already redundant for connectivity.
                     if cuf.same(r1 as u32, r2 as u32) {
-                        skipped += 1;
+                        t.skipped += 1;
+                        return;
+                    }
+                    let e0 = stats.trace_start();
+                    let hit = if ctl.edge_degraded() {
+                        degraded_edge_test_shared(self, &degrade_counters, r1, r2)
                     } else {
-                        let e0 = stats.trace_start();
-                        let hit = edge_test(r1, r2);
-                        if let Some(e0) = e0 {
-                            stats.trace_hist(
-                                HistKind::EdgeTestNanos,
-                                e0.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        if hit {
-                            edges += 1;
-                            if S::ENABLED {
-                                let t = Instant::now();
-                                cuf.union(r1 as u32, r2 as u32, &mut retries);
-                                unions_ns += t.elapsed().as_nanos() as u64;
-                            } else {
-                                cuf.union(r1 as u32, r2 as u32, &mut retries);
-                            }
+                        oracle(r1, r2)
+                    };
+                    if let Some(e0) = e0 {
+                        stats.trace_hist(HistKind::EdgeTestNanos, e0.elapsed().as_nanos() as u64);
+                    }
+                    if hit {
+                        t.edges += 1;
+                        if S::ENABLED {
+                            let u0 = Instant::now();
+                            cuf.union(r1 as u32, r2 as u32, &mut t.retries);
+                            t.unions_ns += u0.elapsed().as_nanos() as u64;
+                        } else {
+                            cuf.union(r1 as u32, r2 as u32, &mut t.retries);
                         }
                     }
                 });
-            }));
-            if S::TRACE_ENABLED {
-                stats.trace_task_span(
-                    w + 1,
-                    EventName::TaskEdge,
-                    t0,
-                    r1,
-                    cc.edge_task_weight(r1 as usize),
-                    claim.stolen,
-                    claim.home,
-                );
-                let burst = retries - retries_before;
+                let burst = t.retries - retries_before;
                 if burst > 0 {
                     stats.trace_instant(
                         w + 1,
                         EventName::UfCasRetries,
-                        [r1, burst.min(u32::MAX as u64) as u32],
+                        [r1 as u32, burst.min(u32::MAX as u64) as u32],
                     );
                 }
-            }
-            if let Err(payload) = task {
-                stats.trace_instant(w + 1, EventName::WorkerPanic, [r1, 0]);
-                poison.record("edge_tests", r1, payload);
-                break;
-            }
-            if ctl.armed() {
-                ctl.stage_done(StageId::EdgeTests, 1);
+            },
+            |r1| cc.edge_task_weight(r1 as usize),
+            |_, t| {
+                if S::ENABLED {
+                    stats.add(Counter::EdgeTests, t.tests);
+                    stats.add(Counter::EdgeTestsSkipped, t.skipped);
+                    stats.add(Counter::EdgesFound, t.edges);
+                    stats.add(Counter::UnionOps, t.edges);
+                    stats.add(Counter::UfCasRetries, t.retries);
+                    union_nanos.fetch_add(t.unions_ns, Ordering::Relaxed);
+                }
+            },
+        )?;
+        let uf = UnionFind::from_parents(cuf.into_parents());
+        if let Some(start) = span {
+            // Lazy builds and unions are carved out of the stage span, capped
+            // so the named phases can never sum past it even when summed
+            // per-worker time exceeds wall clock.
+            let total = start.elapsed().as_nanos() as u64;
+            let builds = self.build_nanos.load(Ordering::Relaxed).min(total);
+            let unions = union_nanos.load(Ordering::Relaxed).min(total - builds);
+            let edge = total - builds - unions;
+            stats.add_phase_nanos(Phase::UnionFind, unions);
+            stats.add_phase_nanos(Phase::StructureBuild, builds);
+            stats.add_phase_nanos(Phase::EdgeTests, edge);
+            if S::TRACE_ENABLED {
+                stats.trace_connect_spans(start, edge, unions, builds);
             }
         }
-        hb.mark_done(w);
-        if S::ENABLED {
-            stats.add(Counter::EdgeTests, tests);
-            stats.add(Counter::EdgeTestsSkipped, skipped);
-            stats.add(Counter::EdgesFound, edges);
-            stats.add(Counter::UnionOps, edges);
-            stats.add(Counter::UfCasRetries, retries);
-            stats.add(Counter::TasksStolen, stolen);
-            union_nanos.fetch_add(unions_ns, Ordering::Relaxed);
-        }
-    });
-    check_poison(&poison, "edge_tests", stats)?;
-    let uf = UnionFind::from_parents(cuf.into_parents());
-    if let Some(start) = span {
-        // Same three-way split as the sequential connect loop (see
-        // `connect_core_cells_instrumented`): lazy builds and unions are
-        // carved out of the stage span, capped so the named phases can never
-        // sum past it even when summed per-worker time exceeds wall clock.
-        let total = start.elapsed().as_nanos() as u64;
-        let builds = build_nanos.load(Ordering::Relaxed).min(total);
-        let unions = union_nanos.load(Ordering::Relaxed).min(total - builds);
-        let edge = total - builds - unions;
-        stats.add_phase_nanos(Phase::UnionFind, unions);
-        stats.add_phase_nanos(Phase::StructureBuild, builds);
-        stats.add_phase_nanos(Phase::EdgeTests, edge);
-        if S::TRACE_ENABLED {
-            stats.trace_connect_spans(start, edge, unions, builds);
-        }
+        Ok(uf)
     }
-    Ok(uf)
 }
 
-/// Assembles the clustering with parallel border assignment: workers claim
-/// grid cells (weighted by point count) and classify each cell's non-core
-/// points. [`Phase::BorderAssign`], like the sequential assembler.
-fn assemble_par<const D: usize, S: StatsSink>(
+/// The degraded edge test shared by every grid algorithm: once a `degrade`
+/// deadline trips, the `(r1, r2)` edge is decided by the ρ-approximate
+/// algorithm's Lemma 5 rule ([`counter_edge_test`]) at the configured
+/// `degrade_rho`, over its own lazily built counters. Identical mechanics to
+/// the ρ-approximate edge rule — which is what makes a mixed exact/degraded
+/// run a valid ρ′-approximate clustering under the Sandwich Theorem.
+pub(crate) fn degraded_edge_test_shared<const D: usize, S: StatsSink>(
+    g: &Graph<'_, D, S>,
+    counters: &CounterSlots<D>,
+    r1: usize,
+    r2: usize,
+) -> bool {
+    g.exec.ctl.note_degraded_edge();
+    g.exec.stats.bump(Counter::CounterDecisions);
+    counter_edge_test(g, counters, g.exec.ctl.degrade_rho(), r1, r2)
+}
+
+/// Border assignment: core points inherit their cell's component of `G`;
+/// workers claim grid cells (weighted by point count) and assign each
+/// non-core point to every cluster owning a core point within ε, or leave it
+/// noise (Section 2.2, "Assigning Border Points"). The whole pass is
+/// [`Phase::BorderAssign`]. Core-point assignment always completes — it is
+/// what makes a `partial` result a coherent clustering; under a truncating
+/// deadline the border points of unclaimed cells stay noise (the
+/// conservative direction: never a wrong cluster).
+fn assemble<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     cc: &CoreCells<D>,
     uf: &mut UnionFind,
-    pool: &WorkerPool,
-    faults: &FaultPlan,
-    stats: &S,
-    ctl: &RunCtl,
+    exec: &Exec<'_, S>,
 ) -> Result<Clustering, DbscanError> {
-    let threads = pool.threads();
-    if threads <= 1 {
-        // One worker gains nothing from the claim/steal machinery; run the
-        // sequential assembler (same final assignments — border writes are
-        // per-point independent). Mirrors the labeling fallback above; like
-        // there, per-task fault injection does not fire on this path.
-        return Ok(assemble_clustering_ctl(points, cc, uf, stats, ctl));
-    }
-    if ctl.armed() {
-        // Core scatter always completes; the budgeted tasks are the border
-        // cells (totals are per-path task counts: cells here, points on the
-        // sequential path).
-        ctl.stage_begin(StageId::BorderAssign, cc.grid.num_cells() as u64);
-    }
+    let stats = exec.stats;
     let span = stats.now();
     let (component_of_rank, num_clusters) = uf.compact_labels();
     let mut assignments = vec![Assignment::Noise; points.len()];
@@ -656,76 +712,29 @@ fn assemble_par<const D: usize, S: StatsSink>(
             assignments[p as usize] = Assignment::Core(cluster);
         }
     }
+    let threads = exec.pool.threads();
     let queue = WorkQueue::new(cc.grid.cells().iter().map(|c| c.len() as u64), threads);
-    let poison = Poison::new();
-    let hb = Heartbeats::new(threads);
     // Per-worker buffers of (border point, adjacent cluster ids) pairs.
     type BorderOut = Vec<(u32, Vec<u32>)>;
     let slots: Vec<Mutex<BorderOut>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    run_pool_phase(pool, ctl, &hb, &poison, &queue, "border_assign", stats, |w| {
-        let component_of_rank = &component_of_rank;
-        let mut out = Vec::new();
-        let mut stolen = 0u64;
-        loop {
-            if poison.is_poisoned() {
-                // cooperative drain after a peer's panic
-                stats.trace_instant(w + 1, EventName::PoisonTrip, [0, 0]);
-                queue.close();
-                break;
-            }
-            if ctl.should_stop() {
-                // budget tripped: close so peers stop claiming too
-                queue.close();
-                break;
-            }
-            let Some(claim) = queue.claim(w) else {
-                break;
-            };
-            hb.beat(w);
-            let cell_id = claim.task;
-            stolen += u64::from(claim.stolen);
-            if claim.stolen {
-                stats.trace_instant(w + 1, EventName::Steal, [cell_id, claim.home as u32]);
-            }
-            faults.maybe_steal_delay(claim.stolen);
-            let t0 = stats.trace_start();
-            let task = catch_unwind(AssertUnwindSafe(|| {
-                faults.maybe_panic(FaultSite::BorderAssign, cell_id);
-                for &p in cc.grid.points_of(cell_id) {
-                    if cc.is_core[p as usize] {
-                        continue;
-                    }
-                    let clusters = assign_border_clusters(points, cc, component_of_rank, p);
-                    if !clusters.is_empty() {
-                        out.push((p, clusters));
-                    }
+    exec.run_tasks(
+        &BORDER,
+        &queue,
+        Vec::new,
+        |out: &mut BorderOut, _, cell| {
+            for &p in cc.grid.points_of(cell) {
+                if cc.is_core[p as usize] {
+                    continue;
                 }
-            }));
-            stats.trace_task_span(
-                w + 1,
-                EventName::TaskBorder,
-                t0,
-                cell_id,
-                cc.grid.cell_population(cell_id) as u64,
-                claim.stolen,
-                claim.home,
-            );
-            if let Err(payload) = task {
-                stats.trace_instant(w + 1, EventName::WorkerPanic, [cell_id, 0]);
-                poison.record("border_assign", cell_id, payload);
-                break;
+                let clusters = assign_border_clusters(points, cc, &component_of_rank, p);
+                if !clusters.is_empty() {
+                    out.push((p, clusters));
+                }
             }
-            if ctl.armed() {
-                ctl.stage_done(StageId::BorderAssign, 1);
-            }
-        }
-        hb.mark_done(w);
-        if S::ENABLED {
-            stats.add(Counter::TasksStolen, stolen);
-        }
-        *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = out;
-    });
-    check_poison(&poison, "border_assign", stats)?;
+        },
+        |cell| cc.grid.cell_population(cell) as u64,
+        |w, out| *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = out,
+    )?;
     for slot in slots {
         for (p, clusters) in slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
             assignments[p as usize] = Assignment::Border(clusters);
@@ -752,12 +761,11 @@ pub fn grid_exact_par<const D: usize>(
 
 /// [`grid_exact_par`] with an observability sink (see [`crate::stats`]).
 ///
-/// Per-pair counters mirror the sequential algorithm's: kd-trees are built
-/// lazily inside the fused edge stage ([`Counter::KdTreeBuilds`] on first
-/// use via [`OnceLock`], [`Counter::TreeCacheHits`] after), so
-/// [`Counter::TreeFallbackBrute`] is structurally zero — there is no prebuilt
-/// set to fall outside of. With [`NoStats`] every recording site compiles
-/// away.
+/// Kd-trees are built lazily inside the fused edge stage
+/// ([`Counter::KdTreeBuilds`] on first use via [`OnceLock`],
+/// [`Counter::TreeCacheHits`] after), so [`Counter::TreeFallbackBrute`] is
+/// structurally zero — there is no prebuilt set to fall outside of. With
+/// [`NoStats`] every recording site compiles away.
 pub fn grid_exact_par_instrumented<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
@@ -778,40 +786,32 @@ pub fn try_grid_exact_par<const D: usize>(
     try_grid_exact_par_instrumented(points, params, config, &NoStats)
 }
 
-/// Fallible twin of [`grid_exact_par_instrumented`]; the infallible entry
-/// points delegate here. Under [`RecoveryPolicy::FallbackSequential`] a
-/// worker panic is absorbed: the run is retried on the sequential exact
-/// algorithm (recorded as [`Counter::SequentialFallbacks`]); any other error
-/// — and a panic under [`RecoveryPolicy::Fail`] — is returned.
+/// Fallible twin of [`grid_exact_par_instrumented`], running under
+/// [`ParConfig::deadline`]; the infallible entry points delegate here. Under
+/// [`RecoveryPolicy::FallbackSequential`] a worker panic is absorbed by the
+/// one-thread rerun (recorded as [`Counter::SequentialFallbacks`]); any other
+/// error — and a panic under [`RecoveryPolicy::Fail`] — is returned.
 pub fn try_grid_exact_par_instrumented<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
     config: &ParConfig,
     stats: &S,
 ) -> Result<Clustering, DbscanError> {
-    let ctl = RunCtl::new(&config.deadline);
-    grid_exact_par_run(points, params, config, stats, &ctl)
-}
-
-/// Deadline-aware twin of [`try_grid_exact_par_instrumented`]: runs under
-/// [`ParConfig::deadline`] and additionally returns the [`DeadlineReport`]
-/// (outcome, degraded-edge count, measured cancellation latency, per-stage
-/// progress).
-pub fn try_grid_exact_par_deadline<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    config: &ParConfig,
-    stats: &S,
-) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    let ctl = RunCtl::new(&config.deadline);
-    let out = grid_exact_par_run(points, params, config, stats, &ctl)?;
-    Ok((out, ctl.report()))
+    try_grid_exact_par_ctl(
+        points,
+        params,
+        config,
+        stats,
+        &RunCtl::new(&config.deadline),
+    )
 }
 
 /// Cancellation-aware parallel entry point taking an externally owned
-/// [`RunCtl`], so a host (e.g. the service daemon) can interrupt or degrade
-/// the run mid-flight. The sequential-fallback recovery path shares the same
-/// `ctl`, so an interrupt lands regardless of which attempt is running.
+/// [`RunCtl`] (which replaces [`ParConfig::deadline`]), so a host (e.g. the
+/// service daemon) can interrupt or degrade the run mid-flight and read the
+/// [`DeadlineReport`](crate::DeadlineReport) via [`RunCtl::report`]
+/// afterwards. The fallback rerun shares the same `ctl`, so an interrupt
+/// lands regardless of which attempt is running.
 pub fn try_grid_exact_par_ctl<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
@@ -819,161 +819,15 @@ pub fn try_grid_exact_par_ctl<const D: usize, S: StatsSink>(
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    grid_exact_par_run(points, params, config, stats, ctl)
-}
-
-fn grid_exact_par_run<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    config: &ParConfig,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    match grid_exact_par_attempt(points, params, config, stats, ctl) {
-        Err(DbscanError::WorkerPanicked { .. })
-            if config.recovery == RecoveryPolicy::FallbackSequential =>
-        {
-            stats.bump(Counter::SequentialFallbacks);
-            stats.trace_instant(0, EventName::SequentialFallback, [0, 0]);
-            // The rerun shares the same RunCtl: whatever time budget remains
-            // carries over, and the sequential pass re-declares its stage
-            // totals via `stage_begin`.
-            crate::algorithms::grid_exact_ctl(
-                points,
-                params,
-                BcpStrategy::TreeAssisted,
-                &config.limits,
-                stats,
-                ctl,
-            )
-        }
-        other => other,
-    }
-}
-
-fn grid_exact_par_attempt<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    config: &ParConfig,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    precheck_degrade(points, params, ctl)?;
-    let total = stats.now();
-    let pool = resolve_pool(config);
-    let cc = build_core_cells_par(points, params, &pool, config, stats, ctl)?;
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::Labeling));
-    }
-    let eps = params.eps();
-
-    let trees: Vec<OnceLock<KdTree<D>>> =
-        (0..cc.num_core_cells()).map(|_| OnceLock::new()).collect();
-    let degrade_counters: Vec<OnceLock<ApproxRangeCounter<D>>> = if ctl.may_degrade() {
-        (0..cc.num_core_cells()).map(|_| OnceLock::new()).collect()
-    } else {
-        Vec::new()
-    };
-    // Nanoseconds workers spend in lazy kd-tree builds, reported back to
-    // `connect_par` so they land in Phase::StructureBuild (the sequential
-    // path's `deferred` cell, made shareable across workers).
-    let edge_builds = AtomicU64::new(0);
-    let mut uf = connect_par(
-        &cc,
-        &pool,
-        &config.faults,
+    grid_exact_run(
+        points,
+        params,
+        None,
+        BcpStrategy::TreeAssisted,
+        config,
         stats,
         ctl,
-        &edge_builds,
-        |r1, r2| {
-            if ctl.edge_degraded() {
-                ctl.note_degraded_edge();
-                stats.bump(Counter::CounterDecisions);
-                return crate::algorithms::degraded_edge_test_shared(
-                    points,
-                    &cc,
-                    &degrade_counters,
-                    ctl.degrade_rho(),
-                    r1,
-                    r2,
-                    stats,
-                );
-            }
-            let (a, b) = (&cc.core_points_of[r1], &cc.core_points_of[r2]);
-            if a.len() * b.len() <= bcp::BRUTE_FORCE_LIMIT {
-                stats.bump(Counter::BruteForceDecisions);
-                stats.bump(Counter::BlockKernelCalls);
-                return bcp::within_threshold_blocks(&cc.core_block(r1), &cc.core_block(r2), eps);
-            }
-            // Large pair: the same optimistic budgeted probe as the
-            // sequential route — only an undecided probe builds a tree.
-            stats.bump(Counter::BlockKernelCalls);
-            if let Some(hit) =
-                bcp::probe_within_threshold_blocks(&cc.core_block(r1), &cc.core_block(r2), eps)
-            {
-                stats.bump(Counter::BruteForceDecisions);
-                return hit;
-            }
-            stats.bump(Counter::TreeProbeDecisions);
-            // Probe the smaller side, tree on the larger (ties to the higher
-            // rank) — the same designation the sequential lazy cache uses.
-            let (probe, tree_rank) = if a.len() <= b.len() { (a, r2) } else { (b, r1) };
-            // Cache-hit fast path: one `OnceLock::get` load and no clock
-            // read, matching the cost of the sequential lazy cache's hit
-            // branch. The clock is only touched when a build may happen.
-            let tree = match trees[tree_rank].get() {
-                Some(tree) => {
-                    stats.bump(Counter::TreeCacheHits);
-                    tree
-                }
-                None => {
-                    let mut built = false;
-                    let t0 = if S::ENABLED { Some(Instant::now()) } else { None };
-                    let tree = trees[tree_rank].get_or_init(|| {
-                        built = true;
-                        let ids = &cc.core_points_of[tree_rank];
-                        KdTree::build_entries(
-                            ids.iter().map(|&i| (points[i as usize], i)).collect(),
-                        )
-                    });
-                    if built {
-                        stats.bump(Counter::KdTreeBuilds);
-                        if let Some(t0) = t0 {
-                            edge_builds.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                    } else {
-                        // Another worker won the init race between `get` and
-                        // `get_or_init`; from this task's view it is a hit.
-                        stats.bump(Counter::TreeCacheHits);
-                    }
-                    tree
-                }
-            };
-            if S::ENABLED {
-                let mut nodes = 0u64;
-                let hit = bcp::within_threshold_tree_counted(points, probe, tree, eps, &mut nodes);
-                stats.add(Counter::IndexNodesVisited, nodes);
-                hit
-            } else {
-                bcp::within_threshold_tree(points, probe, tree, eps)
-            }
-        },
-    )?;
-    if S::ENABLED {
-        // Mirrors the sequential accounting: cells whose lazy kd-tree was
-        // never initialized by any worker finished on the blocked kernel.
-        let unbuilt = trees.iter().filter(|t| t.get().is_none()).count();
-        stats.add(Counter::BruteForceCells, unbuilt as u64);
-    }
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::EdgeTests));
-    }
-    let out = assemble_par(points, &cc, &mut uf, &pool, &config.faults, stats, ctl)?;
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::BorderAssign));
-    }
-    stats.finish(Phase::Total, total);
-    Ok(out)
+    )
 }
 
 /// Parallel version of [`crate::algorithms::rho_approx`] (ρ-approximate
@@ -991,8 +845,7 @@ pub fn rho_approx_par<const D: usize>(
 ///
 /// Lemma 5 counters are built lazily inside the fused edge stage
 /// ([`Counter::CounterBuilds`], one per cell that actually serves as the
-/// count side of a reached pair — the same set the sequential lazy build
-/// materializes, minus pairs the live short-circuit skips); edge tests record
+/// count side of a reached pair); edge tests record
 /// [`Counter::CounterDecisions`], [`Counter::CounterQueries`], and
 /// [`Counter::IndexNodesVisited`]. With [`NoStats`] every recording site
 /// compiles away.
@@ -1003,8 +856,14 @@ pub fn rho_approx_par_instrumented<const D: usize, S: StatsSink>(
     threads: Option<usize>,
     stats: &S,
 ) -> Clustering {
-    try_rho_approx_par_instrumented(points, params, rho, &ParConfig::with_threads(threads), stats)
-        .unwrap_or_else(|e| panic!("{e}"))
+    try_rho_approx_par_instrumented(
+        points,
+        params,
+        rho,
+        &ParConfig::with_threads(threads),
+        stats,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible twin of [`rho_approx_par`] with the default [`ParConfig`] knobs
@@ -1018,10 +877,11 @@ pub fn try_rho_approx_par<const D: usize>(
     try_rho_approx_par_instrumented(points, params, rho, config, &NoStats)
 }
 
-/// Fallible twin of [`rho_approx_par_instrumented`]; the infallible entry
-/// points delegate here. Under [`RecoveryPolicy::FallbackSequential`] a
-/// worker panic is absorbed by retrying on the sequential ρ-approximate
-/// algorithm (recorded as [`Counter::SequentialFallbacks`]).
+/// Fallible twin of [`rho_approx_par_instrumented`], running under
+/// [`ParConfig::deadline`]; see [`try_grid_exact_par_instrumented`] for the
+/// recovery contract. A degraded run answers some edges at ρ and the rest at
+/// the configured `degrade_rho` ρ′, so the result is a legal
+/// max(ρ, ρ′)-approximate clustering.
 pub fn try_rho_approx_par_instrumented<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
@@ -1029,25 +889,14 @@ pub fn try_rho_approx_par_instrumented<const D: usize, S: StatsSink>(
     config: &ParConfig,
     stats: &S,
 ) -> Result<Clustering, DbscanError> {
-    let ctl = RunCtl::new(&config.deadline);
-    rho_approx_par_run(points, params, rho, config, stats, &ctl)
-}
-
-/// Deadline-aware twin of [`try_rho_approx_par_instrumented`]: runs under
-/// [`ParConfig::deadline`] and additionally returns the [`DeadlineReport`].
-/// A degraded run answers some edges at ρ and the rest at the configured
-/// `degrade_rho` ρ′, so the result is a legal max(ρ, ρ′)-approximate
-/// clustering.
-pub fn try_rho_approx_par_deadline<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    rho: f64,
-    config: &ParConfig,
-    stats: &S,
-) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    let ctl = RunCtl::new(&config.deadline);
-    let out = rho_approx_par_run(points, params, rho, config, stats, &ctl)?;
-    Ok((out, ctl.report()))
+    try_rho_approx_par_ctl(
+        points,
+        params,
+        rho,
+        config,
+        stats,
+        &RunCtl::new(&config.deadline),
+    )
 }
 
 /// Cancellation-aware parallel ρ-approximate entry point; see
@@ -1060,168 +909,57 @@ pub fn try_rho_approx_par_ctl<const D: usize, S: StatsSink>(
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    rho_approx_par_run(points, params, rho, config, stats, ctl)
+    rho_approx_run(points, params, None, rho, config, stats, ctl)
 }
 
-fn rho_approx_par_run<const D: usize, S: StatsSink>(
+/// The components of `G` under `oracle` on a `threads`-worker pool, for unit
+/// tests of the edge stage.
+#[cfg(test)]
+pub(crate) fn connect_with<const D: usize>(
     points: &[Point<D>],
-    params: DbscanParams,
-    rho: f64,
-    config: &ParConfig,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    match rho_approx_par_attempt(points, params, rho, config, stats, ctl) {
-        Err(DbscanError::WorkerPanicked { .. })
-            if config.recovery == RecoveryPolicy::FallbackSequential =>
-        {
-            stats.bump(Counter::SequentialFallbacks);
-            stats.trace_instant(0, EventName::SequentialFallback, [0, 0]);
-            // Shares the RunCtl with the failed attempt — remaining budget
-            // carries over (see `grid_exact_par_run`).
-            crate::algorithms::rho_approx_ctl(points, params, rho, &config.limits, stats, ctl)
-        }
-        other => other,
-    }
-}
-
-fn rho_approx_par_attempt<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    rho: f64,
-    config: &ParConfig,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    validate_rho(params.eps(), rho)?;
-    precheck_degrade(points, params, ctl)?;
-    let total = stats.now();
-    let pool = resolve_pool(config);
-    let cc = build_core_cells_par(points, params, &pool, config, stats, ctl)?;
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::Labeling));
-    }
-    // Same leaf-level representability and counter-budget pre-checks as the
-    // sequential try path, so the lazy in-loop builds stay infallible.
-    let leaf_side = base_side::<D>(params.eps()) / (1u64 << (hierarchy_levels(rho) - 1)) as f64;
-    crate::validate::check_cell_range(points, leaf_side)?;
-    if let Some(budget) = config.limits.max_index_bytes {
-        let estimated =
-            dbscan_index::counter::estimated_build_bytes::<D>(cc.num_core_points(), rho);
-        if estimated > budget {
-            return Err(DbscanError::ResourceLimit {
-                structure: "approximate range counters",
-                estimated_bytes: estimated,
-                budget_bytes: budget,
-            });
-        }
-    }
-    let eps = params.eps();
-
-    let counters: Vec<OnceLock<ApproxRangeCounter<D>>> =
-        (0..cc.num_core_cells()).map(|_| OnceLock::new()).collect();
-    // A second counter set at `degrade_rho` for edges answered after a
-    // degrade trip (distinct from the ρ counters above).
-    let degrade_counters: Vec<OnceLock<ApproxRangeCounter<D>>> = if ctl.may_degrade() {
-        (0..cc.num_core_cells()).map(|_| OnceLock::new()).collect()
-    } else {
-        Vec::new()
+    cc: &CoreCells<D>,
+    threads: usize,
+    oracle: impl Fn(usize, usize) -> bool + Sync,
+) -> UnionFind {
+    let exec = Exec {
+        pool: &WorkerPool::global(threads),
+        faults: &FaultPlan::default(),
+        limits: &ResourceLimits::UNLIMITED,
+        stats: &NoStats,
+        ctl: &RunCtl::unlimited(),
     };
-    // Lazy Lemma 5 counter builds report their nanoseconds here so the bench
-    // phase columns stay comparable with the sequential path (whose
-    // structure_build dominates the ρ-approximate profile).
-    let edge_builds = AtomicU64::new(0);
-    let mut uf = connect_par(
-        &cc,
-        &pool,
-        &config.faults,
-        stats,
-        ctl,
-        &edge_builds,
-        |r1, r2| {
-            stats.bump(Counter::CounterDecisions);
-            if ctl.edge_degraded() {
-                ctl.note_degraded_edge();
-                return crate::algorithms::degraded_edge_test_shared(
-                    points,
-                    &cc,
-                    &degrade_counters,
-                    ctl.degrade_rho(),
-                    r1,
-                    r2,
-                    stats,
-                );
-            }
-            let (probe, count_side) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len()
-            {
-                (r1, r2)
-            } else {
-                (r2, r1)
-            };
-            // Same cache-hit fast path as the exact closure: no clock read
-            // unless this task may perform the build.
-            let counter = match counters[count_side].get() {
-                Some(counter) => counter,
-                None => {
-                    let mut built = false;
-                    let t0 = if S::ENABLED { Some(Instant::now()) } else { None };
-                    let counter = counters[count_side].get_or_init(|| {
-                        built = true;
-                        let pts: Vec<Point<D>> = cc.core_points_of[count_side]
-                            .iter()
-                            .map(|&i| points[i as usize])
-                            .collect();
-                        ApproxRangeCounter::build(&pts, eps, rho)
-                    });
-                    if built {
-                        stats.bump(Counter::CounterBuilds);
-                        if let Some(t0) = t0 {
-                            edge_builds.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                    }
-                    counter
-                }
-            };
-            if S::ENABLED {
-                let mut queries = 0u64;
-                let mut visited = 0u64;
-                let hit = cc.core_points_of[probe].iter().any(|&p| {
-                    queries += 1;
-                    counter.query_positive_counted(&points[p as usize], &mut visited)
-                });
-                stats.add(Counter::CounterQueries, queries);
-                stats.add(Counter::IndexNodesVisited, visited);
-                hit
-            } else {
-                cc.core_points_of[probe]
-                    .iter()
-                    .any(|&p| counter.query_positive(&points[p as usize]))
-            }
-        },
-    )?;
-    if S::ENABLED {
-        // Approximate analogue of the exact path's accounting: cells whose
-        // Lemma 5 counter no worker ever initialized.
-        let unbuilt = counters.iter().filter(|c| c.get().is_none()).count();
-        stats.add(Counter::BruteForceCells, unbuilt as u64);
-    }
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::EdgeTests));
-    }
-    let out = assemble_par(points, &cc, &mut uf, &pool, &config.faults, stats, ctl)?;
-    if ctl.aborted() {
-        return Err(ctl.deadline_error(StageId::BorderAssign));
-    }
-    stats.finish(Phase::Total, total);
-    Ok(out)
+    let graph = Graph {
+        points,
+        cc,
+        exec: &exec,
+        build_nanos: AtomicU64::new(0),
+    };
+    graph.connect(oracle).unwrap()
+}
+
+/// [`assemble`] on a `threads`-worker pool, for unit tests.
+#[cfg(test)]
+pub(crate) fn assemble_with<const D: usize>(
+    points: &[Point<D>],
+    cc: &CoreCells<D>,
+    uf: &mut UnionFind,
+    threads: usize,
+) -> Clustering {
+    let exec = Exec {
+        pool: &WorkerPool::global(threads),
+        faults: &FaultPlan::default(),
+        limits: &ResourceLimits::UNLIMITED,
+        stats: &NoStats,
+        ctl: &RunCtl::unlimited(),
+    };
+    assemble(points, cc, uf, &exec).unwrap()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{grid_exact, grid_exact_instrumented, rho_approx, BcpStrategy};
-    use crate::cells::{assemble_clustering, connect_core_cells};
-    use crate::labeling::label_core_points;
+    use crate::algorithms::{grid_exact, grid_exact_instrumented, rho_approx};
+    use crate::bcp;
     use crate::stats::Stats;
     use dbscan_geom::point::p2;
 
@@ -1287,30 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_labeling_matches_sequential() {
-        let pts = lcg_points(2_000, 40.0, 9);
-        let p = params(1.0, 5);
-        let grid = GridIndex::build(&pts, p.eps());
-        let seq = label_core_points(&pts, &grid, p);
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                label_core_points_par(
-                    &pts,
-                    &grid,
-                    p,
-                    &WorkerPool::global(threads),
-                    &FaultPlan::default(),
-                    &NoStats,
-                    &RunCtl::unlimited()
-                )
-                .unwrap(),
-                seq
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_connect_matches_sequential_components() {
+    fn connect_components_agree_across_thread_counts() {
         let pts = lcg_points(1_000, 20.0, 5);
         let p = params(1.2, 4);
         let cc = CoreCells::build(&pts, p);
@@ -1322,26 +1037,16 @@ mod tests {
                 p.eps(),
             )
         };
-        let mut seq_uf = connect_core_cells(&cc, edge);
-        let mut par_uf = connect_par(
-            &cc,
-            &WorkerPool::global(4),
-            &FaultPlan::default(),
-            &NoStats,
-            &RunCtl::unlimited(),
-            &AtomicU64::new(0),
-            edge,
-        )
-        .unwrap();
-        let seq = assemble_clustering(&pts, &cc, &mut seq_uf);
-        let par = assemble_clustering(&pts, &cc, &mut par_uf);
+        let mut seq_uf = connect_with(&pts, &cc, 1, edge);
+        let mut par_uf = connect_with(&pts, &cc, 4, edge);
+        let seq = assemble_with(&pts, &cc, &mut seq_uf, 1);
+        let par = assemble_with(&pts, &cc, &mut par_uf, 4);
         assert_eq!(seq.assignments, par.assignments);
     }
 
-    /// The fused stage restores the sequential path's two key counter
-    /// properties: the candidate-pair enumeration is identical (EdgeTests
-    /// agree exactly) and the live union-find short-circuit fires
-    /// (EdgeTestsSkipped > 0), while lazy tree builds via `OnceLock` make the
+    /// The candidate-pair enumeration is identical at every thread count
+    /// (EdgeTests agree exactly), the live union-find short-circuit fires
+    /// (EdgeTestsSkipped > 0), and lazy tree builds via `OnceLock` make the
     /// prebuild fallback structurally impossible.
     #[test]
     fn fused_edge_stage_skips_and_matches_sequential_counters() {
@@ -1369,12 +1074,12 @@ mod tests {
             pr.counter(Counter::BruteForceDecisions) > 0,
             "test data must exercise the brute route"
         );
-        // Both paths enumerate the identical candidate-pair set...
+        // Both runs enumerate the identical candidate-pair set...
         assert_eq!(
             sr.counter(Counter::EdgeTests),
             pr.counter(Counter::EdgeTests)
         );
-        // ...and the parallel path prunes it through live connectivity.
+        // ...and prune it through live connectivity.
         assert!(pr.counter(Counter::EdgeTestsSkipped) > 0);
         // Trees are built lazily on first use; no prebuild set to miss.
         assert_eq!(pr.counter(Counter::TreeFallbackBrute), 0);

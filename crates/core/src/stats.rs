@@ -99,15 +99,15 @@ impl Phase {
 /// same input are directly comparable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
-    /// Candidate ε-neighbor core-cell pairs enumerated by the connect loop,
-    /// counted *before* the union-find short-circuit — identical between
-    /// sequential and parallel runs on the same input.
+    /// Candidate ε-neighbor core-cell pairs enumerated by the edge loop,
+    /// counted *before* the union-find short-circuit — identical at every
+    /// thread count on the same input.
     EdgeTests,
     /// Candidate pairs skipped because the union-find already connected
-    /// them — the sequential connect loop's `uf.same` short-circuit, and the
-    /// parallel workers' live consultation of the concurrent union-find.
-    /// (Parallel counts are timing-dependent: a pair is skipped if some
-    /// worker joined its cells first.)
+    /// them — the edge workers' live consultation of the concurrent
+    /// union-find. (Deterministic on one thread; with more, counts are
+    /// timing-dependent: a pair is skipped if some worker joined its cells
+    /// first.)
     EdgeTestsSkipped,
     /// Edge tests that returned true (an edge of the core-cell graph `G`).
     EdgesFound,

@@ -430,11 +430,10 @@ pub trait TraceSink: Sync {
         }
     }
 
-    /// Renders the sequential connect loop's three-way time attribution (see
-    /// [`crate::cells::connect_core_cells_instrumented`]) as three
-    /// consecutive coordinator sub-spans laid out from the loop's start —
-    /// synthetic placement, exact durations, so per-phase span totals equal
-    /// the stats phase nanos.
+    /// Renders the edge stage's three-way time attribution (see
+    /// [`crate::parallel`]) as three consecutive coordinator sub-spans laid
+    /// out from the stage's start — synthetic placement, exact durations, so
+    /// per-phase span totals equal the stats phase nanos.
     #[inline(always)]
     fn trace_connect_spans(&self, start: Instant, edge_ns: u64, union_ns: u64, structure_ns: u64) {
         if Self::TRACE_ENABLED {

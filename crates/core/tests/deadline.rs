@@ -2,11 +2,11 @@
 //! (Sandwich-Theorem validity), partial-result consistency, abort hygiene,
 //! and bounded cancellation latency.
 
-use dbscan_core::algorithms::{grid_exact, try_grid_exact_deadline, BcpStrategy};
-use dbscan_core::parallel::{try_grid_exact_par_deadline, ParConfig};
+use dbscan_core::algorithms::{grid_exact, try_grid_exact_ctl, BcpStrategy};
+use dbscan_core::parallel::{try_grid_exact_par_ctl, ParConfig};
 use dbscan_core::{
     Assignment, Clustering, DbscanError, DbscanParams, DeadlineConfig, DeadlineOutcome,
-    DeadlinePolicy, NoStats, RecoveryPolicy, ResourceLimits,
+    DeadlinePolicy, DeadlineReport, NoStats, RecoveryPolicy, ResourceLimits, RunCtl,
 };
 use dbscan_geom::point::p2;
 use dbscan_geom::Point;
@@ -34,6 +34,28 @@ fn deadline(budget: Duration, policy: DeadlinePolicy) -> DeadlineConfig {
         degrade_rho: 0.05,
         stall_timeout: None,
     }
+}
+
+/// A sequential exact run under `dl`, with its deadline report.
+fn seq_run(
+    pts: &[Point<2>],
+    p: DbscanParams,
+    dl: &DeadlineConfig,
+) -> Result<(Clustering, DeadlineReport), DbscanError> {
+    let ctl = RunCtl::new(dl);
+    let limits = ResourceLimits::UNLIMITED;
+    try_grid_exact_ctl(pts, p, BcpStrategy::TreeAssisted, &limits, &NoStats, &ctl)
+        .map(|c| (c, ctl.report()))
+}
+
+/// A parallel exact run under `config`'s deadline, with its deadline report.
+fn par_run(
+    pts: &[Point<2>],
+    p: DbscanParams,
+    config: &ParConfig,
+) -> Result<(Clustering, DeadlineReport), DbscanError> {
+    let ctl = RunCtl::new(&config.deadline);
+    try_grid_exact_par_ctl(pts, p, config, &NoStats, &ctl).map(|c| (c, ctl.report()))
 }
 
 fn par_config(threads: usize, dl: DeadlineConfig) -> ParConfig {
@@ -74,17 +96,7 @@ fn zero_budget_degrade_is_deterministic_and_identical_across_paths() {
     let p = params(1.0, 4);
     let dl = deadline(Duration::ZERO, DeadlinePolicy::Degrade);
 
-    let run_seq = || {
-        try_grid_exact_deadline(
-            &pts,
-            p,
-            BcpStrategy::TreeAssisted,
-            &ResourceLimits::UNLIMITED,
-            &dl,
-            &NoStats,
-        )
-        .unwrap()
-    };
+    let run_seq = || seq_run(&pts, p, &dl).unwrap();
     let (first, rep1) = run_seq();
     let (second, rep2) = run_seq();
     assert_eq!(rep1.outcome, DeadlineOutcome::Degraded);
@@ -100,8 +112,7 @@ fn zero_budget_degrade_is_deterministic_and_identical_across_paths() {
     // pair (skipped pairs are already-connected), so it lands on the same
     // clustering as the sequential degraded run.
     for threads in [2, 4] {
-        let (par, rep) =
-            try_grid_exact_par_deadline(&pts, p, &par_config(threads, dl), &NoStats).unwrap();
+        let (par, rep) = par_run(&pts, p, &par_config(threads, dl)).unwrap();
         assert_eq!(rep.outcome, DeadlineOutcome::Degraded);
         assert!(rep.degraded_edges > 0);
         assert_eq!(par.assignments, first.assignments, "threads={threads}");
@@ -120,13 +131,10 @@ fn degraded_runs_stay_inside_the_sandwich() {
     // exact/degraded prefixes. Where the trip lands is timing-dependent;
     // the sandwich must hold at every mix.
     for budget_us in [0u64, 50, 200, 1_000, 5_000] {
-        let (got, report) = try_grid_exact_deadline(
+        let (got, report) = seq_run(
             &pts,
             p,
-            BcpStrategy::TreeAssisted,
-            &ResourceLimits::UNLIMITED,
             &deadline(Duration::from_micros(budget_us), DeadlinePolicy::Degrade),
-            &NoStats,
         )
         .unwrap();
         assert!(report.complete, "degrade never truncates: {report}");
@@ -151,13 +159,10 @@ fn partial_results_are_subset_consistent_prefixes() {
     let full = grid_exact(&pts, p);
 
     for budget_us in [0u64, 100, 500, 2_000] {
-        let (got, report) = try_grid_exact_deadline(
+        let (got, report) = seq_run(
             &pts,
             p,
-            BcpStrategy::TreeAssisted,
-            &ResourceLimits::UNLIMITED,
             &deadline(Duration::from_micros(budget_us), DeadlinePolicy::Partial),
-            &NoStats,
         )
         .unwrap();
         if report.outcome == DeadlineOutcome::Exact {
@@ -187,15 +192,8 @@ fn partial_results_are_subset_consistent_prefixes() {
 
     // Zero budget with Partial must still produce a structurally valid
     // clustering (validated ids, non-empty border lists).
-    let (zero, report) = try_grid_exact_deadline(
-        &pts,
-        p,
-        BcpStrategy::TreeAssisted,
-        &ResourceLimits::UNLIMITED,
-        &deadline(Duration::ZERO, DeadlinePolicy::Partial),
-        &NoStats,
-    )
-    .unwrap();
+    let (zero, report) =
+        seq_run(&pts, p, &deadline(Duration::ZERO, DeadlinePolicy::Partial)).unwrap();
     assert_eq!(report.outcome, DeadlineOutcome::Partial);
     assert!(zero.validate().is_ok(), "{:?}", zero.validate());
 }
@@ -208,15 +206,7 @@ fn abort_surfaces_typed_error_and_leaks_no_threads() {
 
     // Sequential: the first checkpoint observes the trip in the labeling
     // stage.
-    let err = try_grid_exact_deadline(
-        &pts,
-        p,
-        BcpStrategy::TreeAssisted,
-        &ResourceLimits::UNLIMITED,
-        &dl,
-        &NoStats,
-    )
-    .unwrap_err();
+    let err = seq_run(&pts, p, &dl).unwrap_err();
     match &err {
         DbscanError::DeadlineExceeded { phase, .. } => assert_eq!(*phase, "labeling"),
         other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -228,7 +218,7 @@ fn abort_surfaces_typed_error_and_leaks_no_threads() {
     // warmed the pool for this thread count, repeated aborting calls must
     // leave the process thread count exactly where it was.
     let start = std::time::Instant::now();
-    let err = try_grid_exact_par_deadline(&pts, p, &par_config(4, dl), &NoStats).unwrap_err();
+    let err = par_run(&pts, p, &par_config(4, dl)).unwrap_err();
     assert!(
         matches!(err, DbscanError::DeadlineExceeded { .. }),
         "got {err:?}"
@@ -242,7 +232,7 @@ fn abort_surfaces_typed_error_and_leaks_no_threads() {
     );
     let baseline = thread_count();
     for _ in 0..5 {
-        let err = try_grid_exact_par_deadline(&pts, p, &par_config(4, dl), &NoStats).unwrap_err();
+        let err = par_run(&pts, p, &par_config(4, dl)).unwrap_err();
         assert!(matches!(err, DbscanError::DeadlineExceeded { .. }));
     }
     let now = thread_count();
@@ -263,9 +253,12 @@ fn cancel_latency_is_bounded_under_injected_steal_delays() {
 
     let pts = lcg_points(4_000, 40.0, 13);
     let p = params(1.0, 4);
-    let mut config = par_config(4, deadline(Duration::from_micros(200), DeadlinePolicy::Partial));
+    let mut config = par_config(
+        4,
+        deadline(Duration::from_micros(200), DeadlinePolicy::Partial),
+    );
     config.faults = FaultPlan::new(5).with_steal_delay_micros(2_000);
-    let (_, report) = try_grid_exact_par_deadline(&pts, p, &config, &NoStats).unwrap();
+    let (_, report) = par_run(&pts, p, &config).unwrap();
     // The budget certainly trips on this input; the observed overshoot must
     // stay within one task plus the injected delay, padded generously.
     assert!(

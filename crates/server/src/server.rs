@@ -11,10 +11,12 @@
 //!   runs under `catch_unwind` plus its own [`RunCtl`], so a panicking or
 //!   fault-injected request becomes a typed error line while concurrent
 //!   requests are untouched;
-//! * one shared [`WorkerPool`] of `job_threads` for the parallel pipeline
-//!   (its `phase_lock` serializes phases across concurrent jobs — saturated,
-//!   never oversubscribed). The pool is owned by the server and dropped on
-//!   shutdown, unlike the never-torn-down process-global pool;
+//! * one shared [`WorkerPool`] of `job_threads` for `threads` jobs (its
+//!   `phase_lock` serializes phases across concurrent jobs — saturated,
+//!   never oversubscribed); the other jobs run inline on the one-thread
+//!   pool, and both kinds share the structure cache. The pool is owned by
+//!   the server and dropped on shutdown, unlike the never-torn-down
+//!   process-global pool;
 //! * one *sampler* thread feeding the rolling health time-series, and (only
 //!   with `--metrics-listen`) one scrape-only HTTP thread serving the
 //!   Prometheus text exposition.
@@ -31,7 +33,6 @@ use dbscan_core::algorithms::{
 };
 use dbscan_core::cells::CoreCells;
 use dbscan_core::error::validate_rho;
-use dbscan_core::parallel::{try_grid_exact_par_ctl, try_rho_approx_par_ctl};
 use dbscan_core::{
     chrome_trace_json_capped, folded_stacks, parse_duration, Clustering, Counter, DbscanError,
     DbscanParams, DeadlineConfig, DeadlineOutcome, DeadlinePolicy, FaultPlan, NoStats, ParConfig,
@@ -179,8 +180,8 @@ pub(crate) struct JobSpec {
     pub(crate) dim: usize,
     pub(crate) params: DbscanParams,
     pub(crate) algorithm: Algorithm,
-    /// Run the parallel pipeline (shared pool) instead of the cached
-    /// sequential path. Implied by a fault spec.
+    /// Run on the shared pool instead of the one-thread pool. Implied by a
+    /// fault spec.
     pub(crate) parallel: bool,
     pub(crate) recovery: RecoveryPolicy,
     pub(crate) deadline: DeadlineConfig,
@@ -937,18 +938,24 @@ fn handle_connection(shared: &Arc<Shared>, stream: Stream) {
     // `read_line`: a client streaming newline-free bytes can pin at most
     // `max_frame_bytes` (+ one read chunk) of memory per connection.
     let mut buf: Vec<u8> = Vec::new();
+    // Bytes at the front of `buf` already searched for a newline, so each
+    // read chunk is scanned once: rescanning the whole partial frame after
+    // every chunk made a large frame cost quadratic time to receive.
+    let mut scanned = 0;
     let mut chunk = [0u8; 8192];
     let mut last_activity = Instant::now();
     loop {
         // Serve every complete frame already buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let frame: Vec<u8> = buf.drain(..=pos).collect();
+        while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let frame: Vec<u8> = buf.drain(..=scanned + off).collect();
+            scanned = 0;
             if !serve_frame(shared, &frame[..frame.len() - 1], &mut writer) {
                 return;
             }
             // A long blocking verb (`result` with wait) is activity too.
             last_activity = Instant::now();
         }
+        scanned = buf.len();
         // A partial frame past the cap can never complete: answer with a
         // typed error and hang up — the buffer itself is the attack surface.
         if buf.len() > shared.cfg.max_frame_bytes {
@@ -1842,30 +1849,22 @@ fn run_typed_sink<const D: usize, S: StatsSink>(
         None => ResourceLimits::UNLIMITED,
     };
 
-    if spec.parallel {
-        // The parallel pipeline owns fault injection and the shared pool;
-        // it builds its own structures (no cache interplay).
-        let config = ParConfig {
-            threads: None,
-            recovery: spec.recovery,
-            limits,
-            faults: spec.faults.clone().unwrap_or_default(),
-            deadline: spec.deadline,
-            pool: Some(Arc::clone(&shared.pool)),
-        };
-        return match spec.algorithm {
-            Algorithm::Exact => {
-                try_grid_exact_par_ctl(&points, spec.params, &config, stats, ctl)
-                    .map(|c| (c, false, None))
-            }
-            Algorithm::Approx { rho } => {
-                try_rho_approx_par_ctl(&points, spec.params, rho, &config, stats, ctl)
-                    .map(|c| (c, false, Some(rho)))
-            }
-        };
-    }
-
-    // Sequential path: reuse (or build + cache) the CoreCells structure.
+    // One path for every job: get or build the CoreCells structure, then
+    // run the edge and border phases from it. `threads` jobs (and fault
+    // specs, which imply them) run on the shared pool, the rest on the
+    // one-thread pool, inline on this job worker.
+    let config = ParConfig {
+        threads: None,
+        recovery: spec.recovery,
+        limits,
+        faults: spec.faults.clone().unwrap_or_default(),
+        deadline: spec.deadline,
+        pool: Some(if spec.parallel {
+            Arc::clone(&shared.pool)
+        } else {
+            WorkerPool::global(1)
+        }),
+    };
     let key = CacheKey {
         data_hash: fnv1a_u64(spec.points.iter().map(|c| c.to_bits())),
         n: points.len(),
@@ -1882,7 +1881,7 @@ fn run_typed_sink<const D: usize, S: StatsSink>(
             let built = Arc::new(CoreCells::try_build_ctl(
                 &points,
                 spec.params,
-                &limits,
+                &config,
                 stats,
                 ctl,
             )?);
@@ -1911,12 +1910,13 @@ fn run_typed_sink<const D: usize, S: StatsSink>(
             &points,
             &cells,
             BcpStrategy::default(),
+            &config,
             stats,
             ctl,
         )
         .map(|c| (c, from_cache, None)),
         Algorithm::Approx { rho } => {
-            try_rho_approx_from_cells_ctl(&points, &cells, rho, &limits, stats, ctl)
+            try_rho_approx_from_cells_ctl(&points, &cells, rho, &config, stats, ctl)
                 .map(|c| (c, from_cache, Some(rho)))
         }
     }

@@ -145,9 +145,5 @@ fn faulty_tenants_cannot_harm_healthy_ones() {
     assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(5));
     assert_eq!(stats.get("failed").and_then(Value::as_u64), Some(3));
     assert_eq!(stats.get("cancelled").and_then(Value::as_u64), Some(0));
-    assert!(
-        dbscan_threads().is_empty(),
-        "daemon threads leaked past wait(): {:?}",
-        dbscan_threads()
-    );
+    assert_daemon_threads_gone();
 }

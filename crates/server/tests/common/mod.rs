@@ -111,6 +111,25 @@ pub fn dbscan_threads() -> Vec<String> {
     out
 }
 
+/// Asserts that every `dbscan-*` thread is gone after a daemon's `wait()`.
+/// A joined thread can stay listed in `/proc/self/task` until the kernel
+/// reaps it, so this polls for up to 5 s; a thread that really leaked is
+/// still listed then and fails the test.
+pub fn assert_daemon_threads_gone() {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let live = dbscan_threads();
+        if live.is_empty() {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "daemon threads leaked past wait(): {live:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
 /// Polls `status` until the job reports `state`, panicking after ~5s.
 #[allow(dead_code)] // each test binary compiles its own copy of this module
 pub fn wait_for_state(client: &mut dbscan_server::Client, job: u64, state: &str) {

@@ -122,7 +122,7 @@ fn garbage_frames_draw_typed_errors_not_panics() {
     );
     handle.shutdown();
     handle.wait();
-    assert!(dbscan_threads().is_empty(), "leaked: {:?}", dbscan_threads());
+    assert_daemon_threads_gone();
 }
 
 #[test]
@@ -139,7 +139,7 @@ fn oversized_frames_are_cut_off_at_the_cap() {
     assert_still_serving(&addr);
     handle.shutdown();
     handle.wait();
-    assert!(dbscan_threads().is_empty(), "leaked: {:?}", dbscan_threads());
+    assert_daemon_threads_gone();
 }
 
 #[test]
@@ -180,7 +180,7 @@ fn slow_loris_connections_are_evicted_on_the_idle_deadline() {
     assert_still_serving(&addr);
     handle.shutdown();
     handle.wait();
-    assert!(dbscan_threads().is_empty(), "leaked: {:?}", dbscan_threads());
+    assert_daemon_threads_gone();
 }
 
 #[test]
@@ -228,7 +228,7 @@ fn the_connection_cap_sheds_excess_connections_with_a_typed_error() {
     drop(client);
     handle.shutdown();
     handle.wait();
-    assert!(dbscan_threads().is_empty(), "leaked: {:?}", dbscan_threads());
+    assert_daemon_threads_gone();
 }
 
 #[test]
@@ -252,5 +252,5 @@ fn a_dangling_unterminated_frame_is_served_at_eof() {
     assert_still_serving(&addr);
     handle.shutdown();
     handle.wait();
-    assert!(dbscan_threads().is_empty(), "leaked: {:?}", dbscan_threads());
+    assert_daemon_threads_gone();
 }

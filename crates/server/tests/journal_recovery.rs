@@ -227,10 +227,6 @@ fn compaction_bounds_the_log_and_leaves_nothing_to_recover() {
     assert_eq!(stat_of(&mut client, "recovered_jobs"), 0);
     handle.shutdown();
     handle.wait();
-    assert!(
-        dbscan_threads().is_empty(),
-        "daemon threads leaked: {:?}",
-        dbscan_threads()
-    );
+    assert_daemon_threads_gone();
     let _ = std::fs::remove_dir_all(&dir);
 }

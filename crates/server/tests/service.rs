@@ -423,11 +423,7 @@ fn unix_socket_roundtrip_drain_refusal_and_zero_thread_leak() {
 
     let stats = handle.wait();
     assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(1));
-    assert!(
-        dbscan_threads().is_empty(),
-        "daemon threads leaked past wait(): {:?}",
-        dbscan_threads()
-    );
+    assert_daemon_threads_gone();
     assert!(!sock.exists(), "unix socket file should be unlinked on shutdown");
 }
 

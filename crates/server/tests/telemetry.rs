@@ -117,7 +117,7 @@ fn metrics_exposition_matches_health_counters() {
 
     handle.shutdown();
     handle.wait();
-    assert!(dbscan_threads().is_empty(), "daemon threads leaked");
+    assert_daemon_threads_gone();
 }
 
 #[test]
