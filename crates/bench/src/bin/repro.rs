@@ -79,7 +79,7 @@ use dbscan_bench::timing::{time_once, BudgetTracker, Measurement};
 use dbscan_core::algorithms::{
     cit08, cit08_instrumented, grid_exact, grid_exact_instrumented, grid_exact_with, gunawan_2d,
     gunawan_2d_instrumented, kdd96_rtree, kdd96_rtree_instrumented, rho_approx,
-    rho_approx_instrumented, BcpStrategy, Cit08Config,
+    rho_approx_instrumented, rho_approx_with, ApproxOracle, BcpStrategy, Cit08Config,
 };
 use dbscan_core::parallel::{
     grid_exact_par_instrumented, resolve_threads, rho_approx_par_instrumented,
@@ -493,11 +493,13 @@ fn dataset_n(scale: &Scale, kind: DatasetKind) -> usize {
 // Figures 11-13: running time
 // --------------------------------------------------------------------------
 
-/// The paper's four methods plus one ablation lane: OurExact computing the
-/// full BCP per cell pair with no early exit — the cost profile of the paper's
-/// own exact implementation (see DESIGN.md, substitutions).
-const ALGOS: [&str; 5] = [
+/// The paper's four methods plus two ablation lanes with the cost profiles
+/// of the paper's own implementations (see DESIGN.md, substitutions):
+/// OurApprox building a Lemma 5 counter for every reached cell pair, and
+/// OurExact computing the full BCP per cell pair with no early exit.
+const ALGOS: [&str; 6] = [
     "OurApprox",
+    "OurApprox-counterOnly",
     "OurExact",
     "OurExact-bruteBCP",
     "CIT08",
@@ -509,21 +511,24 @@ fn measure_all<const D: usize>(
     params: DbscanParams,
     rho: f64,
     tracker: &mut BudgetTracker,
-) -> [Measurement; 5] {
+) -> [Measurement; 6] {
     [
         tracker.run(0, || {
             rho_approx(pts, params, rho);
         }),
         tracker.run(1, || {
-            grid_exact(pts, params);
+            rho_approx_with(pts, params, rho, ApproxOracle::CounterOnly);
         }),
         tracker.run(2, || {
-            grid_exact_with(pts, params, BcpStrategy::FullBruteBcp);
+            grid_exact(pts, params);
         }),
         tracker.run(3, || {
-            cit08(pts, params, Cit08Config::default());
+            grid_exact_with(pts, params, BcpStrategy::FullBruteBcp);
         }),
         tracker.run(4, || {
+            cit08(pts, params, Cit08Config::default());
+        }),
+        tracker.run(5, || {
             kdd96_rtree(pts, params);
         }),
     ]
@@ -593,25 +598,37 @@ fn fig13(scale: &Scale, out: &Path) {
         "== Figure 13: OurApprox running time (s) vs rho (eps = {DEFAULT_EPS}, MinPts = {}) ==",
         scale.min_pts
     );
+    // One column per dataset and oracle: the default probe-first OurApprox,
+    // and the counter-only ablation with the paper's cost profile.
+    const ORACLES: [(ApproxOracle, &str); 2] = [
+        (ApproxOracle::ProbeFirst, ""),
+        (ApproxOracle::CounterOnly, "-counterOnly"),
+    ];
     let mut t = Table::new(
         std::iter::once("rho".to_string())
-            .chain(DatasetKind::ALL.iter().map(|k| k.name().to_string()))
+            .chain(DatasetKind::ALL.iter().flat_map(|k| {
+                ORACLES
+                    .iter()
+                    .map(move |(_, suffix)| format!("{}{suffix}", k.name()))
+            }))
             .collect::<Vec<_>>(),
     );
-    // Generate each dataset once; measure per rho.
+    // Generate each dataset once; measure per oracle and rho.
     let mut columns: Vec<Vec<String>> = Vec::new();
     for kind in DatasetKind::ALL {
         let n = dataset_n(scale, kind);
         with_dataset_points!(kind, n, |pts| {
             let params = DbscanParams::new(DEFAULT_EPS, scale.min_pts).unwrap();
-            let col: Vec<String> = PAPER_RHO_GRID
-                .iter()
-                .map(|&rho| {
-                    let (_, d) = time_once(|| rho_approx(&pts, params, rho));
-                    format!("{:.3}", d.as_secs_f64())
-                })
-                .collect();
-            columns.push(col);
+            for (oracle, _) in ORACLES {
+                let col: Vec<String> = PAPER_RHO_GRID
+                    .iter()
+                    .map(|&rho| {
+                        let (_, d) = time_once(|| rho_approx_with(&pts, params, rho, oracle));
+                        format!("{:.3}", d.as_secs_f64())
+                    })
+                    .collect();
+                columns.push(col);
+            }
         });
     }
     for (i, &rho) in PAPER_RHO_GRID.iter().enumerate() {

@@ -143,7 +143,7 @@ pub fn try_grid_exact_instrumented<const D: usize, S: StatsSink>(
 /// budget run (a control block from [`RunCtl::new`]) can read the
 /// [`DeadlineReport`](crate::DeadlineReport) via [`RunCtl::report`]
 /// afterwards. Under `degrade` the edge tests that run after the budget
-/// expires switch to Lemma 5 approximate counting at `degrade_rho` (see the
+/// expires switch to the ρ-approximate edge oracle at `degrade_rho` (see the
 /// module docs of [`crate::deadline`] for why the mixed result is still a
 /// valid ρ′-approximate clustering).
 pub fn try_grid_exact_ctl<const D: usize, S: StatsSink>(

@@ -29,11 +29,11 @@ pub use kdd96::{
     try_kdd96_linear, try_kdd96_rtree, try_kdd96_rtree_instrumented,
 };
 pub use rho_approx::{
-    rho_approx, rho_approx_instrumented, try_rho_approx, try_rho_approx_ctl,
-    try_rho_approx_from_cells_ctl, try_rho_approx_instrumented,
+    rho_approx, rho_approx_instrumented, rho_approx_with, try_rho_approx, try_rho_approx_ctl,
+    try_rho_approx_from_cells_ctl, try_rho_approx_instrumented, ApproxOracle,
 };
 
 // The edge oracles' pipeline drivers, for the `*_par` entry points, and the
 // Lemma 5 edge rule, for the degraded test every grid algorithm shares.
 pub(crate) use grid_exact::grid_exact_run;
-pub(crate) use rho_approx::{counter_edge_test, rho_approx_run, CounterSlots};
+pub(crate) use rho_approx::{counter_edge_test, rho_approx_run, CounterSlots, EdgeRule};

@@ -8,18 +8,31 @@
 //! * edge **no** if no pair is within ε(1+ρ);
 //! * **don't care** in between.
 //!
-//! The rule is realized by building, per core cell, the approximate range
-//! counter of Lemma 5 over that cell's core points, and probing it with the
-//! other cell's core points: a positive (approximate) count at radius ε decides
-//! the edge. Core-point labeling and border assignment remain exact, so any
-//! output is a legal result of Problem 2 and inherits the sandwich guarantee of
+//! An exact answer to "is the closest pair within ε?" satisfies both rules,
+//! so the oracle ([`ApproxOracle::ProbeFirst`]) runs the exact path's cheap
+//! front end first: small pairs (`|a|·|b| ≤` [`bcp::BRUTE_FORCE_LIMIT`]) are
+//! decided by the blocked early-exit scan, large pairs by a budgeted blocked
+//! probe of at most [`bcp::PROBE_EVAL_BUDGET`] distance evaluations. Only a
+//! probe that runs out of budget builds (lazily, once per cell) the
+//! approximate range counter of Lemma 5 over the larger cell's core points
+//! and queries it with the other cell's core points: a positive
+//! (approximate) count at radius ε decides the edge. No kd-tree is ever
+//! built. Each candidate pair therefore costs at most a constant on top of
+//! the Lemma 5 route, so Theorem 4's O(n) expected bound still holds.
+//! [`ApproxOracle::CounterOnly`] skips the front end and decides every pair
+//! with a counter: the paper's own cost profile, kept as an ablation for
+//! Figures 11 and 13.
+//!
+//! Core-point labeling and border assignment remain exact, so any output is
+//! a legal result of Problem 2 and inherits the sandwich guarantee of
 //! Theorem 3.
 
+use crate::bcp;
 use crate::cells::CoreCells;
 use crate::deadline::RunCtl;
 use crate::error::{validate_rho, DbscanError, ResourceLimits};
 use crate::parallel::{run_grid, Graph, ParConfig};
-use crate::stats::{Counter, NoStats, StatsSink};
+use crate::stats::{Counter, NoStats, Phase, StatsSink};
 use crate::types::{Clustering, DbscanParams};
 use dbscan_geom::grid::{base_side, hierarchy_levels};
 use dbscan_geom::Point;
@@ -51,11 +64,51 @@ pub fn rho_approx<const D: usize>(
     rho_approx_instrumented(points, params, rho, &NoStats)
 }
 
+/// How the ρ-approximate edge rule between two core cells is evaluated.
+///
+/// Both variants return a legal ρ-approximate clustering (Theorem 3); they
+/// differ in running time, and may differ on "don't care" pairs whose
+/// closest pair lies in (ε, ε(1+ρ)]. The ablation matters for interpreting
+/// the paper's Figures 11 and 13, whose OurApprox builds a counter for every
+/// reached pair. See EXPERIMENTS.md.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum ApproxOracle {
+    /// The exact path's blocked scan for small pairs and budgeted blocked
+    /// probe for large ones; a Lemma 5 counter only when the probe runs out
+    /// of budget.
+    #[default]
+    ProbeFirst,
+    /// A Lemma 5 counter for every pair: the paper's cost profile.
+    CounterOnly,
+}
+
+/// [`rho_approx`] with an explicit [`ApproxOracle`].
+pub fn rho_approx_with<const D: usize>(
+    points: &[Point<D>],
+    params: DbscanParams,
+    rho: f64,
+    oracle: ApproxOracle,
+) -> Clustering {
+    let config = ParConfig::sequential(&ResourceLimits::UNLIMITED);
+    rho_approx_run(
+        points,
+        params,
+        None,
+        EdgeRule { rho, oracle },
+        &config,
+        &NoStats,
+        &RunCtl::unlimited(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// [`rho_approx`] with an observability sink (see [`crate::stats`]).
 ///
-/// Records per-phase wall times plus the counter-specific operation counts:
-/// Lemma 5 structures built, `query_positive` probes issued, and hierarchy
-/// cells visited while answering them. With [`NoStats`] every recording site
+/// Records per-phase wall times plus the edge-test decision counters (pairs
+/// decided by the blocked scan or probe, and pairs decided by a counter) and
+/// the counter-specific operation counts: Lemma 5 structures built,
+/// `query_positive` probes issued, and hierarchy cells visited while
+/// answering them. With [`NoStats`] every recording site
 /// compiles away and this is exactly the uninstrumented algorithm.
 pub fn rho_approx_instrumented<const D: usize, S: StatsSink>(
     points: &[Point<D>],
@@ -111,7 +164,15 @@ pub fn try_rho_approx_ctl<const D: usize, S: StatsSink>(
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
     let config = ParConfig::sequential(limits);
-    rho_approx_run(points, params, None, rho, &config, stats, ctl)
+    rho_approx_run(
+        points,
+        params,
+        None,
+        EdgeRule::probe_first(rho),
+        &config,
+        stats,
+        ctl,
+    )
 }
 
 /// Runs the ρ-approximate algorithm on a prebuilt [`CoreCells`] structure
@@ -129,7 +190,15 @@ pub fn try_rho_approx_from_cells_ctl<const D: usize, S: StatsSink>(
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    rho_approx_run(points, cells.params, Some(cells), rho, config, stats, ctl)
+    rho_approx_run(
+        points,
+        cells.params,
+        Some(cells),
+        EdgeRule::probe_first(rho),
+        config,
+        stats,
+        ctl,
+    )
 }
 
 /// The ρ-approximate algorithm on the grid pipeline (see [`run_grid`]),
@@ -138,18 +207,22 @@ pub(crate) fn rho_approx_run<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
     prebuilt: Option<&CoreCells<D>>,
-    rho: f64,
+    rule: EdgeRule,
     config: &ParConfig,
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
+    let rho = rule.rho;
     validate_rho(params.eps(), rho)?;
     run_grid(points, params, prebuilt, config, stats, ctl, |g| {
         // Counters bucket at sides down to base_side / 2^(h-1); verify the
         // whole dataset is representable there so the lazy in-loop builds
-        // can never overflow a cell coordinate.
+        // can never overflow a cell coordinate. The check serves only the
+        // counters, so its time is structure-build time.
         let leaf_side = base_side::<D>(params.eps()) / (1u64 << (hierarchy_levels(rho) - 1)) as f64;
+        let span = g.exec.stats.now();
         crate::validate::check_cell_range(points, leaf_side)?;
+        g.exec.stats.finish(Phase::StructureBuild, span);
         if let Some(budget) = g.exec.limits.max_index_bytes {
             // Worst case every core cell builds its counter; their aggregate
             // estimate is h·size_of::<node>() (+ sort scratch) per core point.
@@ -164,14 +237,12 @@ pub(crate) fn rho_approx_run<const D: usize, S: StatsSink>(
             }
         }
         let counters = g.slots();
-        let uf = g.connect(|r1, r2| {
-            g.exec.stats.bump(Counter::CounterDecisions);
-            counter_edge_test(g, &counters, rho, r1, r2)
-        })?;
+        let uf = g.connect(|r1, r2| counter_edge_test(g, &counters, rule, r1, r2))?;
         if S::ENABLED {
-            // Core cells that never served as the count side of a reached
-            // pair, so their Lemma 5 counter was never built (the approximate
-            // analogue of the exact path's brute_force_cells).
+            // Core cells whose Lemma 5 counter was never built: no pair
+            // reached them as its count side, or the scan or probe decided
+            // every such pair (the approximate analogue of the exact path's
+            // brute_force_cells).
             let unbuilt = counters.iter().filter(|c| c.get().is_none()).count();
             g.exec.stats.add(Counter::BruteForceCells, unbuilt as u64);
         }
@@ -179,21 +250,57 @@ pub(crate) fn rho_approx_run<const D: usize, S: StatsSink>(
     })
 }
 
+/// A ρ-approximate edge rule: its approximation ratio, and how a pair is
+/// decided.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EdgeRule {
+    pub(crate) rho: f64,
+    pub(crate) oracle: ApproxOracle,
+}
+
+impl EdgeRule {
+    /// The default rule at `rho`: [`ApproxOracle::ProbeFirst`].
+    pub(crate) fn probe_first(rho: f64) -> Self {
+        EdgeRule {
+            rho,
+            oracle: ApproxOracle::ProbeFirst,
+        }
+    }
+}
+
 /// One lazily built Lemma 5 counter slot per core cell.
 pub(crate) type CounterSlots<const D: usize> = [OnceLock<ApproxRangeCounter<D>>];
 
-/// The ρ-approximate edge rule: the approximate range counter of Lemma 5 at
-/// `rho`, built lazily over the larger cell's core points, is probed with
-/// the smaller cell's core points (ties count on `r2`); a positive count at
-/// radius ε decides the edge.
+/// Decides the `(r1, r2)` edge under `rule` (see the module docs). Under
+/// [`ApproxOracle::ProbeFirst`] small pairs are decided by the blocked scan
+/// and large ones by the budgeted blocked probe, both exact; a pair the probe
+/// leaves undecided, and every pair under [`ApproxOracle::CounterOnly`], is
+/// decided by the approximate range counter of Lemma 5 at `rule.rho`, built
+/// lazily over the larger cell's core points and probed with the smaller
+/// cell's core points (ties count on `r2`): a positive count at radius ε
+/// decides the edge.
 pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
     g: &Graph<'_, D, S>,
     counters: &CounterSlots<D>,
-    rho: f64,
+    rule: EdgeRule,
     r1: usize,
     r2: usize,
 ) -> bool {
     let (points, cc, stats) = (g.points, g.cc, g.exec.stats);
+    if rule.oracle == ApproxOracle::ProbeFirst {
+        let (a, b) = (cc.core_block(r1), cc.core_block(r2));
+        stats.bump(Counter::BlockKernelCalls);
+        let decided = if a.len() * b.len() <= bcp::BRUTE_FORCE_LIMIT {
+            Some(bcp::within_threshold_blocks(&a, &b, cc.params.eps()))
+        } else {
+            bcp::probe_within_threshold_blocks(&a, &b, cc.params.eps())
+        };
+        if let Some(hit) = decided {
+            stats.bump(Counter::BruteForceDecisions);
+            return hit;
+        }
+    }
+    stats.bump(Counter::CounterDecisions);
     let (probe_rank, counter_rank) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
         (r1, r2)
     } else {
@@ -204,7 +311,7 @@ pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
             .iter()
             .map(|&i| points[i as usize])
             .collect();
-        ApproxRangeCounter::build(&pts, cc.params.eps(), rho)
+        ApproxRangeCounter::build(&pts, cc.params.eps(), rule.rho)
     });
     if built {
         stats.bump(Counter::CounterBuilds);
@@ -342,6 +449,111 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Decides every candidate pair of `pts` (all points core) with both
+    /// oracles and checks each answer against the brute-force closest pair:
+    /// "yes" needs it within ε(1+ρ), "no" needs it beyond ε. Returns how
+    /// many pairs a counter decided under [`ApproxOracle::ProbeFirst`].
+    fn assert_oracle_legal(pts: &[Point<2>], eps: f64, rho: f64) -> u64 {
+        use crate::stats::Stats;
+        let outer = eps * (1.0 + rho);
+        let mut counter_decided = 0;
+        for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
+            let stats = Stats::new();
+            let config = ParConfig::sequential(&ResourceLimits::UNLIMITED);
+            let ctl = RunCtl::unlimited();
+            run_grid(pts, params(eps, 1), None, &config, &stats, &ctl, |g| {
+                let (cc, counters) = (g.cc, g.slots());
+                for r1 in 0..cc.num_core_cells() {
+                    cc.for_candidate_partners(r1, |r2| {
+                        let yes = counter_edge_test(g, &counters, EdgeRule { rho, oracle }, r1, r2);
+                        let (a, b) = (&cc.core_points_of[r1], &cc.core_points_of[r2]);
+                        let (_, _, d) = bcp::closest_pair_brute(pts, a, b).unwrap();
+                        let what = format!("{oracle:?} eps={eps} rho={rho} bcp={}", d.sqrt());
+                        if yes {
+                            assert!(d <= outer * outer, "yes beyond eps(1+rho): {what}");
+                        } else {
+                            assert!(d > eps * eps, "no within eps: {what}");
+                        }
+                    });
+                }
+                g.connect(|_, _| false)
+            })
+            .unwrap();
+            let report = stats.report();
+            if oracle == ApproxOracle::ProbeFirst {
+                counter_decided = report.counter(Counter::CounterDecisions);
+            } else {
+                assert_eq!(report.counter(Counter::BruteForceDecisions), 0);
+            }
+        }
+        counter_decided
+    }
+
+    /// Two clumps of `n` points in ε-neighbor cells (ε = 1, cells 0 and 2
+    /// along x) whose closest pair is the two points at height 0.25, `gap`
+    /// apart. With `gap = 1` every coordinate is a multiple of 1/128, so that
+    /// pair is an exact tie at ε. `dup` piles the rest of each clump onto
+    /// four points.
+    fn clumps(n: usize, gap: f64, dup: bool) -> Vec<Point<2>> {
+        let mut pts = vec![p2(0.5, 0.25), p2(0.5 + gap, 0.25)];
+        for i in 0..n - 1 {
+            let k = if dup { i % 4 } else { i };
+            let (dx, dy) = ((k % 16) as f64 / 128.0, (k / 16 % 64) as f64 / 128.0);
+            pts.push(p2(0.375 + dx, 0.125 + dy));
+            pts.push(p2(0.5 + gap + 0.125 - dx, 0.125 + dy));
+        }
+        pts
+    }
+
+    #[test]
+    fn oracle_answers_are_legal_on_adversarial_pairs() {
+        for rho in [0.001, 0.1, 0.5] {
+            for gap in [1.0, 1.0 + rho / 2.0, 1.0 + rho, 1.0 + 2.0 * rho] {
+                for dup in [false, true] {
+                    // 150 x 150 is past the brute-force limit and, with no
+                    // pair within ε, past the probe budget too.
+                    let decided = assert_oracle_legal(&clumps(150, gap, dup), 1.0, rho);
+                    // (At rho = 0.5 the wider gaps leave cell 2 behind.)
+                    if gap > 1.0 && rho <= 0.1 {
+                        assert!(decided > 0, "rho={rho} gap={gap}: no counter built");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_answers_are_legal_on_random_cells() {
+        for seed in [5u64, 6, 7] {
+            let mut pts = lcg_points(600, 12.0, seed);
+            // Dense clumps push some pairs past the brute-force limit.
+            pts.extend(lcg_points(900, 1.5, seed + 100));
+            pts.extend(
+                lcg_points(900, 1.5, seed + 200)
+                    .iter()
+                    .map(|p| p2(p[0] + 1.6, p[1])),
+            );
+            for rho in [0.001, 0.05, 0.5] {
+                assert_oracle_legal(&pts, 1.0, rho);
+            }
+        }
+    }
+
+    #[test]
+    fn both_oracles_agree_with_exact_outside_the_slack_band() {
+        // With the closest pair well inside ε or well beyond ε(1+ρ), every
+        // legal answer is the exact one.
+        let p = params(1.0, 3);
+        for gap in [0.9, 1.5] {
+            let pts = clumps(150, gap, false);
+            let exact = grid_exact(&pts, p);
+            for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
+                let got = rho_approx_with(&pts, p, 0.001, oracle);
+                assert_eq!(got.assignments, exact.assignments, "{oracle:?} gap={gap}");
             }
         }
     }

@@ -12,11 +12,12 @@
 //! What happens at the budget edge is decided by a [`DeadlinePolicy`]:
 //!
 //! - [`DeadlinePolicy::Abort`] — the run returns
-//!   [`DbscanError::DeadlineExceeded`](crate::DbscanError::DeadlineExceeded)
+//!   [`DbscanError::DeadlineExceeded`]
 //!   naming the phase, the elapsed time, and how many tasks were left.
 //! - [`DeadlinePolicy::Degrade`] — the remaining *edge-phase* work switches
-//!   from exact BCP tests to Lemma 5 approximate counting at a configured
-//!   `degrade_rho`. By the Sandwich Theorem (Theorem 3 of the paper) an
+//!   from exact BCP tests to the ρ-approximate edge oracle at a configured
+//!   `degrade_rho`: the budgeted blocked probe first, Lemma 5 approximate
+//!   counting where the probe runs out. By the Sandwich Theorem (Theorem 3 of the paper) an
 //!   approximate edge test at ρ′ only errs inside the `(ε, ε(1+ρ′)]` slack
 //!   band, and an exact answer is always a legal answer for the approximate
 //!   rule — so a run that mixes exact edges (before the budget tripped) with
@@ -109,7 +110,7 @@ impl CancelReason {
     /// Whether this reason is a *hard* cancel: an explicit request to stop
     /// ([`External`](CancelReason::External) /
     /// [`Interrupted`](CancelReason::Interrupted)) always halts the run with
-    /// [`DbscanError::Cancelled`](crate::DbscanError::Cancelled), regardless
+    /// [`DbscanError::Cancelled`], regardless
     /// of the configured [`DeadlinePolicy`] — degrade/partial only soften
     /// *budget* expiry, never an operator's cancel.
     pub fn is_hard(self) -> bool {
@@ -280,10 +281,10 @@ impl Budget {
 /// What to do when the budget runs out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeadlinePolicy {
-    /// Return [`DbscanError::DeadlineExceeded`](crate::DbscanError::DeadlineExceeded).
+    /// Return [`DbscanError::DeadlineExceeded`].
     #[default]
     Abort,
-    /// Switch remaining edge tests to Lemma 5 approximate counting.
+    /// Switch remaining edge tests to the ρ-approximate edge oracle.
     Degrade,
     /// Finalize the union-find as-is and return an incomplete clustering.
     Partial,
@@ -592,7 +593,7 @@ impl RunCtl {
         }
     }
 
-    /// Whether edge tests should run in degraded (Lemma 5) mode. Cheap:
+    /// Whether edge tests should run in degraded (ρ-approximate) mode. Cheap:
     /// only reads the sticky flag set by [`RunCtl::should_stop`].
     #[inline]
     pub fn edge_degraded(&self) -> bool {

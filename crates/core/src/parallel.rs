@@ -97,7 +97,7 @@
 //! machinery.
 
 use crate::algorithms::{
-    counter_edge_test, grid_exact_run, rho_approx_run, BcpStrategy, CounterSlots,
+    counter_edge_test, grid_exact_run, rho_approx_run, BcpStrategy, CounterSlots, EdgeRule,
 };
 use crate::border::assign_border_clusters;
 use crate::cells::CoreCells;
@@ -673,10 +673,11 @@ impl<const D: usize, S: StatsSink> Graph<'_, D, S> {
 
 /// The degraded edge test shared by every grid algorithm: once a `degrade`
 /// deadline trips, the `(r1, r2)` edge is decided by the ρ-approximate
-/// algorithm's Lemma 5 rule ([`counter_edge_test`]) at the configured
-/// `degrade_rho`, over its own lazily built counters. Identical mechanics to
-/// the ρ-approximate edge rule — which is what makes a mixed exact/degraded
-/// run a valid ρ′-approximate clustering under the Sandwich Theorem.
+/// algorithm's edge rule ([`counter_edge_test`], probe first) at the
+/// configured `degrade_rho`, over its own lazily built counters. The same
+/// oracle as the ρ-approximate algorithm — which is what makes a mixed
+/// exact/degraded run a valid ρ′-approximate clustering under the Sandwich
+/// Theorem.
 pub(crate) fn degraded_edge_test_shared<const D: usize, S: StatsSink>(
     g: &Graph<'_, D, S>,
     counters: &CounterSlots<D>,
@@ -684,8 +685,8 @@ pub(crate) fn degraded_edge_test_shared<const D: usize, S: StatsSink>(
     r2: usize,
 ) -> bool {
     g.exec.ctl.note_degraded_edge();
-    g.exec.stats.bump(Counter::CounterDecisions);
-    counter_edge_test(g, counters, g.exec.ctl.degrade_rho(), r1, r2)
+    let rule = EdgeRule::probe_first(g.exec.ctl.degrade_rho());
+    counter_edge_test(g, counters, rule, r1, r2)
 }
 
 /// Border assignment: core points inherit their cell's component of `G`;
@@ -843,10 +844,11 @@ pub fn rho_approx_par<const D: usize>(
 
 /// [`rho_approx_par`] with an observability sink (see [`crate::stats`]).
 ///
+/// Edge tests record [`Counter::BruteForceDecisions`] for pairs the blocked
+/// scan or probe decides and [`Counter::CounterDecisions`] for the rest.
 /// Lemma 5 counters are built lazily inside the fused edge stage
-/// ([`Counter::CounterBuilds`], one per cell that actually serves as the
-/// count side of a reached pair); edge tests record
-/// [`Counter::CounterDecisions`], [`Counter::CounterQueries`], and
+/// ([`Counter::CounterBuilds`], one per cell that serves as the count side
+/// of a pair the probe left undecided), with [`Counter::CounterQueries`] and
 /// [`Counter::IndexNodesVisited`]. With [`NoStats`] every recording site
 /// compiles away.
 pub fn rho_approx_par_instrumented<const D: usize, S: StatsSink>(
@@ -909,7 +911,15 @@ pub fn try_rho_approx_par_ctl<const D: usize, S: StatsSink>(
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    rho_approx_run(points, params, None, rho, config, stats, ctl)
+    rho_approx_run(
+        points,
+        params,
+        None,
+        EdgeRule::probe_first(rho),
+        config,
+        stats,
+        ctl,
+    )
 }
 
 /// The components of `G` under `oracle` on a `threads`-worker pool, for unit

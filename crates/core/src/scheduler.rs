@@ -295,7 +295,7 @@ pub struct PoisonSummary {
 ///
 /// `run_phase` blocks on a second condvar until every worker has decremented
 /// `remaining` to zero. That barrier is what makes the lifetime-erased
-/// [`Job`] pointer sound: the phase closure lives in `run_phase`'s frame, and
+/// `Job` pointer sound: the phase closure lives in `run_phase`'s frame, and
 /// no worker can still hold the pointer once `remaining == 0` (each worker
 /// decrements only after its call into the closure has returned).
 ///

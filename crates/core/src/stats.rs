@@ -111,7 +111,8 @@ pub enum Counter {
     EdgeTestsSkipped,
     /// Edge tests that returned true (an edge of the core-cell graph `G`).
     EdgesFound,
-    /// Edge tests decided by the early-exit brute-force scan.
+    /// Edge tests decided by the early-exit brute-force scan or the budgeted
+    /// blocked probe (exact and ρ-approximate algorithms alike).
     BruteForceDecisions,
     /// Edge tests decided by probing a per-cell kd-tree.
     TreeProbeDecisions,
@@ -119,7 +120,9 @@ pub enum Counter {
     /// ([`crate::algorithms::BcpStrategy::FullBcp`] / `FullBruteBcp`).
     FullBcpDecisions,
     /// Edge tests decided by the Lemma 5 approximate counter (ρ-approximate
-    /// algorithm).
+    /// algorithm, and degraded edge tests): every pair under
+    /// [`crate::algorithms::ApproxOracle::CounterOnly`], only the pairs the
+    /// blocked probe leaves undecided otherwise.
     CounterDecisions,
     /// Historical (kept for schema stability): the old parallel exact path
     /// pre-built kd-trees from a heuristic and counted pairs whose designated

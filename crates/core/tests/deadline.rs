@@ -1,6 +1,6 @@
 //! Integration tests for deadline-aware execution: graceful degradation
 //! (Sandwich-Theorem validity), partial-result consistency, abort hygiene,
-//! and bounded cancellation latency.
+//! bounded cancellation latency, and the stall watchdog.
 
 use dbscan_core::algorithms::{grid_exact, try_grid_exact_ctl, BcpStrategy};
 use dbscan_core::parallel::{try_grid_exact_par_ctl, ParConfig};
@@ -230,17 +230,88 @@ fn abort_surfaces_typed_error_and_leaks_no_threads() {
         "abort took {:?}",
         start.elapsed()
     );
-    let baseline = thread_count();
+    // Tests in this binary run concurrently and share the process-wide
+    // pools, which live as long as the process. Warm every pool size they
+    // use (2 and 4 threads) first, so none is spawned inside the window.
+    par_run(&pts, p, &par_config(2, dl)).unwrap_err();
+    let baseline = worker_thread_count();
     for _ in 0..5 {
         let err = par_run(&pts, p, &par_config(4, dl)).unwrap_err();
         assert!(matches!(err, DbscanError::DeadlineExceeded { .. }));
     }
-    let now = thread_count();
-    assert!(now <= baseline, "leaked threads: {baseline} -> {now}");
+    // A private pool another test drops is joined, not leaked: give such
+    // threads a few seconds to exit before calling the growth a leak.
+    let give_up = std::time::Instant::now() + Duration::from_secs(5);
+    let mut now = worker_thread_count();
+    while now > baseline && std::time::Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(20));
+        now = worker_thread_count();
+    }
+    assert!(
+        now <= baseline,
+        "leaked worker threads: {baseline} -> {now}"
+    );
 }
 
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(1, |d| d.count())
+/// Live pool workers in this process: the threads whose name (`comm`)
+/// starts with `dbscan-worker`. The test harness's own threads come and go
+/// with the tests running beside this one, so they are not counted.
+fn worker_thread_count() -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .filter_map(Result::ok)
+        .filter(|t| {
+            std::fs::read_to_string(t.path().join("comm"))
+                .is_ok_and(|name| name.starts_with("dbscan-worker"))
+        })
+        .count()
+}
+
+/// The stall watchdog: a worker held up by an injected steal delay far past
+/// `stall_timeout` is reported as a failure of its stage and escalates to the
+/// run's recovery policy, exactly like a panic.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn stall_watchdog_poisons_the_run_and_recovery_reruns_it() {
+    use dbscan_core::{Counter, FaultPlan, Stats};
+
+    let pts = lcg_points(4_000, 40.0, 21);
+    let p = params(1.0, 4);
+    let stalling = |recovery| {
+        let mut config = par_config(
+            4,
+            DeadlineConfig {
+                stall_timeout: Some(Duration::from_millis(20)),
+                ..DeadlineConfig::default()
+            },
+        );
+        config.recovery = recovery;
+        // Every stolen claim sleeps 10x the threshold before it runs.
+        config.faults = FaultPlan::new(3).with_steal_delay_micros(200_000);
+        config
+    };
+
+    let config = stalling(RecoveryPolicy::Fail);
+    match par_run(&pts, p, &config) {
+        Err(DbscanError::WorkerPanicked {
+            payload,
+            panic_count,
+            ..
+        }) => {
+            assert!(payload.contains("stall watchdog"), "{payload}");
+            assert_eq!(panic_count, 1);
+        }
+        other => panic!("expected the watchdog to poison the run, got {other:?}"),
+    }
+
+    let config = stalling(RecoveryPolicy::FallbackSequential);
+    let stats = Stats::new();
+    let ctl = RunCtl::new(&config.deadline);
+    let got = try_grid_exact_par_ctl(&pts, p, &config, &stats, &ctl).unwrap();
+    assert_eq!(got.assignments, grid_exact(&pts, p).assignments);
+    assert_eq!(stats.report().counter(Counter::SequentialFallbacks), 1);
 }
 
 /// Cancellation latency stays bounded even when workers are slowed by

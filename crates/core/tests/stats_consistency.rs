@@ -306,3 +306,41 @@ fn degenerate_identical_points() {
         assert_connect_invariants(&r, name);
     }
 }
+
+/// With the probe first, small inputs never reach a Lemma 5 counter. Two
+/// dense clumps in ε-neighbor cells whose closest pair lies beyond ε do: the
+/// pair is past the brute-force limit and the probe's budget, so a counter
+/// decides it, while the smaller pairs around it stay with the blocked scan.
+/// Either way each approximate edge test counts exactly one decision.
+#[test]
+fn approx_edge_tests_decompose_into_probe_and_counter_decisions() {
+    let mut pts = Vec::new();
+    for i in 0..150 {
+        let (dx, dy) = ((i % 16) as f64 / 128.0, (i / 16) as f64 / 128.0);
+        pts.push(Point([0.375 + dx, 0.125 + dy]));
+        pts.push(Point([1.7 + dx, 0.125 + dy]));
+        if i < 20 {
+            // A small cell beside the first clump: a blocked-scan pair.
+            pts.push(Point([0.375 + dx, 0.8 + dy]));
+        }
+    }
+    let p = params(1.0, 3);
+    for (label, s) in [
+        ("rho_approx", {
+            let s = Stats::new();
+            rho_approx_instrumented(&pts, p, 0.01, &s);
+            s
+        }),
+        ("rho_approx_par", {
+            let s = Stats::new();
+            rho_approx_par_instrumented(&pts, p, 0.01, Some(2), &s);
+            s
+        }),
+    ] {
+        let r = s.report();
+        assert_connect_invariants(&r, label);
+        assert!(r.counter(Counter::CounterDecisions) > 0, "{label}");
+        assert!(r.counter(Counter::BruteForceDecisions) > 0, "{label}");
+        assert!(r.counter(Counter::CounterBuilds) > 0, "{label}");
+    }
+}

@@ -199,7 +199,7 @@ pub fn count_within_block_capped<const D: usize>(
 /// AoS twin of [`count_within_block_capped`] for callers that only hold
 /// `&[Point<D>]` (the linear-scan baseline): same chunking, same branchless
 /// accumulate, same between-chunk cap stop — the cap semantics live in one
-/// place ([`capped_chunk_scan`]) for all three index implementations.
+/// place (`capped_chunk_scan`) for all three index implementations.
 pub fn count_within_aos_capped<const D: usize>(
     q: &Point<D>,
     pts: &[Point<D>],

@@ -75,8 +75,9 @@ impl<const D: usize> ApproxRangeCounter<D> {
     /// [`BuildError`], non-positive/non-finite `eps` and `rho` (including
     /// `rho ≤ 1e-9`, where the Lemma 5 hierarchy degenerates), coordinates
     /// whose cell index at the *deepest* (smallest-side) level would overflow
-    /// `i64` — the unchecked build saturates there and silently merges distant
-    /// points into one leaf, breaking the sandwich guarantee — and, when
+    /// `i64` — the unchecked build saturates there, derives every coarser
+    /// level from those leaf cells, and so silently merges distant points,
+    /// breaking the sandwich guarantee — and, when
     /// `max_bytes` is given, builds whose estimated `h`-level footprint (see
     /// [`estimated_build_bytes`]) exceeds the budget.
     pub fn try_build(
@@ -120,26 +121,35 @@ impl<const D: usize> ApproxRangeCounter<D> {
 
         let mut levels: Vec<Vec<CounterNode<D>>> = (0..h).map(|_| Vec::new()).collect();
         if !points.is_empty() {
-            let mut pts = points.to_vec();
-            let mut scratch = vec![Point::<D>::default(); pts.len()];
-            // Group points by their level-0 cell, then recurse per group.
-            pts.sort_unstable_by(|a, b| {
-                CellCoord::of(a, sides[0]).cmp(&CellCoord::of(b, sides[0]))
-            });
+            // A point's cell on every level follows from its leaf cell:
+            // level i's side is the leaf side times 2^(h-1-i), so its cell is
+            // the leaf cell's ancestor that many levels up. One division per
+            // coordinate buckets the point on all h levels.
+            let top = (h - 1) as u32;
+            let mut cells: Vec<CellCoord<D>> = points
+                .iter()
+                .map(|p| CellCoord::of(p, sides[h - 1]))
+                .collect();
+            let mut scratch = vec![CellCoord([0; D]); cells.len()];
+            // One bucket-bound buffer per partitioning level, reused by every
+            // node at that level (the leaf level never partitions).
+            let mut bounds = vec![0u32; (h - 1) << D];
+            // Group the points by their level-0 cell, then recurse per group.
+            cells.sort_unstable_by_key(|c| ancestor(c, top));
             let mut start = 0;
-            while start < pts.len() {
-                let coord = CellCoord::of(&pts[start], sides[0]);
+            while start < cells.len() {
+                let coord = ancestor(&cells[start], top);
                 let mut end = start + 1;
-                while end < pts.len() && CellCoord::of(&pts[end], sides[0]) == coord {
+                while end < cells.len() && ancestor(&cells[end], top) == coord {
                     end += 1;
                 }
                 build_rec(
-                    &mut pts[start..end],
+                    &mut cells[start..end],
                     &mut scratch[start..end],
                     0,
                     coord,
-                    &sides,
                     &mut levels,
+                    &mut bounds,
                 );
                 start = end;
             }
@@ -293,89 +303,127 @@ impl<const D: usize> ApproxRangeCounter<D> {
 
 /// Conservative upper bound on the bytes an [`ApproxRangeCounter`] build over
 /// `n` points needs: at most `n` non-empty nodes on each of the
-/// `h = hierarchy_levels(rho)` levels, plus the two point buffers the
+/// `h = hierarchy_levels(rho)` levels, plus the two leaf-cell buffers the
 /// counting sort shuffles through. Exposed so callers that build *many*
 /// counters (the per-cell counters of the ρ-approximate algorithm) can check
 /// an aggregate budget up front without constructing anything.
 pub fn estimated_build_bytes<const D: usize>(n: usize, rho: f64) -> u64 {
     let h = hierarchy_levels(rho) as u64;
     let node = size_of::<CounterNode<D>>() as u64;
-    let point = size_of::<Point<D>>() as u64;
-    (n as u64)
-        .saturating_mul(h.saturating_mul(node).saturating_add(2 * point))
+    let leaf = size_of::<CellCoord<D>>() as u64;
+    (n as u64).saturating_mul(h.saturating_mul(node).saturating_add(2 * leaf))
 }
 
-/// Recursively materializes the hierarchy for the points of one cell at `lvl`.
-/// Children of a node are pushed consecutively into the next level's list (the
-/// recursion is depth-first, and deeper calls only touch deeper levels), which is
-/// what makes the `child_start..child_end` ranges valid.
+/// The cell `levels` halvings above `cell`. For a point `p` and a side `s`,
+/// `ancestor(&CellCoord::of(p, s), k) == CellCoord::of(p, s · 2^k)` while the
+/// finer coordinate is in range: scaling by a power of two is exact in
+/// floating point, and the arithmetic shift is a floor division.
+fn ancestor<const D: usize>(cell: &CellCoord<D>, levels: u32) -> CellCoord<D> {
+    CellCoord(cell.0.map(|c| c >> levels))
+}
+
+/// Recursively materializes the hierarchy for the points of one cell at
+/// `lvl`, given as their leaf cells. Children of a node are pushed
+/// consecutively into the next level's list (the recursion is depth-first,
+/// and deeper calls only touch deeper levels), which is what makes the
+/// `child_start..child_end` ranges valid.
+///
+/// `bounds` holds `2^D` bucket bounds for this level followed by those of
+/// every deeper one, so each level reuses one buffer across all its nodes.
+/// The counting sort moves the cells into `scratch`, and the children
+/// recurse with the two buffers' roles swapped, so nothing is copied back.
 fn build_rec<const D: usize>(
-    pts: &mut [Point<D>],
-    scratch: &mut [Point<D>],
+    leaves: &mut [CellCoord<D>],
+    scratch: &mut [CellCoord<D>],
     lvl: usize,
     coord: CellCoord<D>,
-    sides: &[f64],
     levels: &mut [Vec<CounterNode<D>>],
+    bounds: &mut [u32],
 ) {
+    if let [leaf] = leaves {
+        push_chain(leaf, lvl, levels);
+        return;
+    }
     let my_idx = levels[lvl].len();
     levels[lvl].push(CounterNode {
         coord,
-        count: pts.len() as u32,
+        count: leaves.len() as u32,
         child_start: 0,
         child_end: 0,
     });
-    if lvl + 1 == sides.len() {
+    if lvl + 1 == levels.len() {
         return;
     }
 
     // Partition the slice into the 2^D children by parity of the child cell
-    // coordinates (a counting sort through `scratch`).
-    let nbuckets = 1usize << D;
-    let child_side = sides[lvl + 1];
-    let bucket_of = |p: &Point<D>| -> usize {
-        let c = CellCoord::of(p, child_side);
+    // coordinates (a counting sort into `scratch`): `ends[b]` counts bucket
+    // b, becomes its start, and after the scatter is its end.
+    let (ends, deeper) = bounds.split_at_mut(1 << D);
+    let up = (levels.len() - 2 - lvl) as u32;
+    let bucket_of = |leaf: &CellCoord<D>| -> usize {
         let mut b = 0usize;
         for i in 0..D {
-            b = (b << 1) | (c.0[i] & 1) as usize;
+            b = (b << 1) | ((leaf.0[i] >> up) & 1) as usize;
         }
         b
     };
-    let mut counts = vec![0u32; nbuckets];
-    for p in pts.iter() {
-        counts[bucket_of(p)] += 1;
+    ends.fill(0);
+    for leaf in leaves.iter() {
+        ends[bucket_of(leaf)] += 1;
     }
-    let mut offsets = vec![0u32; nbuckets + 1];
-    for b in 0..nbuckets {
-        offsets[b + 1] = offsets[b] + counts[b];
+    let mut start = 0;
+    for e in ends.iter_mut() {
+        let count = *e;
+        *e = start;
+        start += count;
     }
-    let mut cursor = offsets.clone();
-    for p in pts.iter() {
-        let b = bucket_of(p);
-        scratch[cursor[b] as usize] = *p;
-        cursor[b] += 1;
+    for leaf in leaves.iter() {
+        let b = bucket_of(leaf);
+        scratch[ends[b] as usize] = *leaf;
+        ends[b] += 1;
     }
-    pts.copy_from_slice(scratch);
 
     let child_start = levels[lvl + 1].len() as u32;
-    for b in 0..nbuckets {
-        let (s, e) = (offsets[b] as usize, offsets[b + 1] as usize);
+    let mut s = 0;
+    for &end in ends.iter() {
+        let e = end as usize;
         if s == e {
             continue;
         }
-        let child_coord = CellCoord::of(&pts[s], child_side);
+        let child_coord = ancestor(&scratch[s], up);
         debug_assert_eq!(child_coord.parent(), coord, "child must refine parent");
         build_rec(
-            &mut pts[s..e],
             &mut scratch[s..e],
+            &mut leaves[s..e],
             lvl + 1,
             child_coord,
-            sides,
             levels,
+            deeper,
         );
+        s = e;
     }
     let child_end = levels[lvl + 1].len() as u32;
     levels[lvl][my_idx].child_start = child_start;
     levels[lvl][my_idx].child_end = child_end;
+}
+
+/// The nodes [`build_rec`] would push for a cell holding the single point
+/// with leaf cell `leaf`: one node per level from `lvl` down, each the only
+/// child of the one above, without partitioning.
+fn push_chain<const D: usize>(leaf: &CellCoord<D>, lvl: usize, levels: &mut [Vec<CounterNode<D>>]) {
+    let h = levels.len();
+    for l in lvl..h {
+        let (child_start, child_end) = match levels.get(l + 1) {
+            Some(next) => (next.len() as u32, next.len() as u32 + 1),
+            None => (0, 0),
+        };
+        levels[l].push(CounterNode {
+            coord: ancestor(leaf, (h - 1 - l) as u32),
+            count: 1,
+            child_start,
+            child_end,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -516,6 +564,45 @@ mod tests {
         ));
         let c = ApproxRangeCounter::try_build(&pts, 1.0, 0.01, Some(1 << 24)).unwrap();
         assert_eq!(c.num_points(), 200);
+    }
+
+    #[test]
+    fn hierarchy_levels_are_the_distinct_cells_and_children_refine_parents() {
+        let mut pts = lcg_points(1500, 6.0, 11);
+        // Duplicates and lone points exercise the single-point chains.
+        pts.extend([p2(1.25, 1.25); 40]);
+        pts.extend([p2(-30.0, 4.0), p2(50.0, -7.5)]);
+        for rho in [0.001, 0.1, 1.0] {
+            let c = ApproxRangeCounter::build(&pts, 0.9, rho);
+            let h = c.num_levels();
+            for lvl in 0..h {
+                let nodes = &c.levels[lvl];
+                let mut cells = std::collections::BTreeMap::new();
+                for p in &pts {
+                    *cells.entry(CellCoord::of(p, c.sides[lvl])).or_insert(0u32) += 1;
+                }
+                assert_eq!(nodes.len(), cells.len(), "rho={rho} level {lvl}");
+                let mut next_child = 0;
+                for n in nodes {
+                    assert_eq!(Some(&n.count), cells.get(&n.coord), "rho={rho} level {lvl}");
+                    if lvl + 1 == h {
+                        assert_eq!((n.child_start, n.child_end), (0, 0));
+                        continue;
+                    }
+                    // Children are contiguous and laid out in parent order.
+                    assert_eq!(n.child_start, next_child);
+                    assert!(n.child_end > n.child_start);
+                    next_child = n.child_end;
+                    let kids = &c.levels[lvl + 1][n.child_start as usize..n.child_end as usize];
+                    assert!(kids.iter().all(|k| k.coord.parent() == n.coord));
+                    let sum: u32 = kids.iter().map(|k| k.count).sum();
+                    assert_eq!(sum, n.count, "rho={rho} level {lvl}");
+                }
+                if lvl + 1 < h {
+                    assert_eq!(next_child as usize, c.levels[lvl + 1].len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests (proptest) over randomized inputs: index correctness,
 //! the Lemma 5 counter guarantee, DBSCAN semantic invariants, cross-algorithm
-//! agreement, and the sandwich theorem.
+//! agreement, and the sandwich theorem (under both ρ-approximate edge oracles).
 
-use dbscan_revisited::core::algorithms::{grid_exact, kdd96_linear, rho_approx};
+use dbscan_revisited::core::algorithms::{grid_exact, kdd96_linear, rho_approx_with, ApproxOracle};
 use dbscan_revisited::core::{Assignment, DbscanParams};
 use dbscan_revisited::eval::same_clustering;
 use dbscan_revisited::eval::sandwich::{check_sandwich, SandwichOutcome};
@@ -123,9 +123,11 @@ proptest! {
     ) {
         let params = DbscanParams::new(eps, min_pts).unwrap();
         let inner = grid_exact(&pts, params);
-        let approx = rho_approx(&pts, params, rho);
         let outer = grid_exact(&pts, params.inflate(rho));
-        prop_assert_eq!(check_sandwich(&inner, &approx, &outer), SandwichOutcome::Holds);
+        for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
+            let approx = rho_approx_with(&pts, params, rho, oracle);
+            prop_assert_eq!(check_sandwich(&inner, &approx, &outer), SandwichOutcome::Holds);
+        }
     }
 
     #[test]

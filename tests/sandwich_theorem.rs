@@ -1,8 +1,8 @@
 //! Empirical verification of Theorem 3 (the sandwich quality guarantee) across
 //! datasets, radii, and approximation ratios: the ρ-approximate result always
-//! sits between exact DBSCAN at ε and at ε(1+ρ).
+//! sits between exact DBSCAN at ε and at ε(1+ρ), under both edge oracles.
 
-use dbscan_revisited::core::algorithms::{grid_exact, rho_approx};
+use dbscan_revisited::core::algorithms::{grid_exact, rho_approx_with, ApproxOracle};
 use dbscan_revisited::core::DbscanParams;
 use dbscan_revisited::datagen::{seed_spreader, SpreaderConfig};
 use dbscan_revisited::eval::sandwich::{check_sandwich, SandwichOutcome};
@@ -13,14 +13,16 @@ use rand::{Rng, SeedableRng};
 fn assert_sandwich<const D: usize>(pts: &[Point<D>], eps: f64, min_pts: usize, rho: f64) {
     let params = DbscanParams::new(eps, min_pts).unwrap();
     let inner = grid_exact(pts, params);
-    let approx = rho_approx(pts, params, rho);
     let outer = grid_exact(pts, params.inflate(rho));
-    let outcome = check_sandwich(&inner, &approx, &outer);
-    assert_eq!(
-        outcome,
-        SandwichOutcome::Holds,
-        "sandwich violated at eps={eps}, MinPts={min_pts}, rho={rho}: {outcome:?}"
-    );
+    for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
+        let approx = rho_approx_with(pts, params, rho, oracle);
+        let outcome = check_sandwich(&inner, &approx, &outer);
+        assert_eq!(
+            outcome,
+            SandwichOutcome::Holds,
+            "sandwich violated at eps={eps}, MinPts={min_pts}, rho={rho}, {oracle:?}: {outcome:?}"
+        );
+    }
 }
 
 #[test]
