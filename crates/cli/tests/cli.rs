@@ -183,7 +183,15 @@ fn threads_zero_means_all_cores() {
         .arg("--input")
         .arg(&input)
         .args([
-            "--eps", "0.5", "--min-pts", "3", "--algorithm", "exact", "--threads", "0", "--stats",
+            "--eps",
+            "0.5",
+            "--min-pts",
+            "3",
+            "--algorithm",
+            "exact",
+            "--threads",
+            "0",
+            "--stats",
             "--quiet",
         ])
         .output()
@@ -192,10 +200,7 @@ fn threads_zero_means_all_cores() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"threads_requested\":0"), "{stdout}");
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    assert!(
-        stdout.contains(&format!("\"cores\":{cores}")),
-        "{stdout}"
-    );
+    assert!(stdout.contains(&format!("\"cores\":{cores}")), "{stdout}");
     assert!(
         stdout.contains(&format!("\"threads\":{cores}")),
         "a 0 request must resolve to all {cores} cores: {stdout}"
@@ -264,7 +269,11 @@ fn dbscan_threads_env_is_default_and_validated() {
         .env("DBSCAN_THREADS", "lots")
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     std::fs::remove_file(&input).ok();
 }
@@ -328,10 +337,23 @@ fn recovery_flag_is_parsed_and_reported() {
     let input = tmp("recovery.csv");
     write_two_blob_csv(&input);
     let base = [
-        "--eps", "0.5", "--min-pts", "3", "--algorithm", "exact", "--threads", "2", "--stats",
+        "--eps",
+        "0.5",
+        "--min-pts",
+        "3",
+        "--algorithm",
+        "exact",
+        "--threads",
+        "2",
+        "--stats",
         "--quiet",
     ];
-    let out = bin().arg("--input").arg(&input).args(base).output().unwrap();
+    let out = bin()
+        .arg("--input")
+        .arg(&input)
+        .args(base)
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"recovery\":\"fail\""), "{stdout}");
@@ -375,7 +397,14 @@ fn bad_rho_is_a_usage_error_naming_the_flag() {
             .arg("--input")
             .arg(&input)
             .args([
-                "--eps", "0.5", "--min-pts", "3", "--algorithm", "approx", "--rho", bad,
+                "--eps",
+                "0.5",
+                "--min-pts",
+                "3",
+                "--algorithm",
+                "approx",
+                "--rho",
+                bad,
             ])
             .output()
             .unwrap();
@@ -388,7 +417,14 @@ fn bad_rho_is_a_usage_error_naming_the_flag() {
         .arg("--input")
         .arg(&input)
         .args([
-            "--eps", "1e300", "--min-pts", "3", "--algorithm", "approx", "--rho", "1e10",
+            "--eps",
+            "1e300",
+            "--min-pts",
+            "3",
+            "--algorithm",
+            "approx",
+            "--rho",
+            "1e10",
         ])
         .output()
         .unwrap();
@@ -446,15 +482,28 @@ fn faults_flag_requires_the_feature() {
         .arg("--input")
         .arg(&input)
         .args([
-            "--eps", "0.5", "--min-pts", "3", "--algorithm", "exact", "--threads", "2",
-            "--faults", "seed=42,edge=1",
+            "--eps",
+            "0.5",
+            "--min-pts",
+            "3",
+            "--algorithm",
+            "exact",
+            "--threads",
+            "2",
+            "--faults",
+            "seed=42,edge=1",
         ])
         .output()
         .unwrap();
     if cfg!(feature = "fault-injection") {
         // Plan parses; with default --recovery fail the injected panic is a
         // data-level error (exit 1), not a crash.
-        assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("worker panicked"), "stderr: {err}");
     } else {
@@ -474,7 +523,14 @@ fn max_index_bytes_budget_is_enforced() {
         .arg("--input")
         .arg(&input)
         .args([
-            "--eps", "0.5", "--min-pts", "3", "--algorithm", "exact", "--max-index-bytes", "16",
+            "--eps",
+            "0.5",
+            "--min-pts",
+            "3",
+            "--algorithm",
+            "exact",
+            "--max-index-bytes",
+            "16",
         ])
         .output()
         .unwrap();
@@ -521,7 +577,10 @@ fn stats_out_writes_file_and_keeps_stdout_clean() {
     assert!(stdout.contains("2 clusters"), "{stdout}");
     assert!(!stdout.contains("\"schema\""), "{stdout}");
     let json = std::fs::read_to_string(&stats_path).unwrap();
-    assert!(json.starts_with("{\"schema\":\"dbscan-stats/v7\","), "{json}");
+    assert!(
+        json.starts_with("{\"schema\":\"dbscan-stats/v7\","),
+        "{json}"
+    );
     assert!(json.contains("\"phases_ns\""), "{json}");
     std::fs::remove_file(&input).ok();
     std::fs::remove_file(&stats_path).ok();
@@ -538,13 +597,25 @@ fn trace_chrome_export_has_worker_tracks() {
         .arg("--input")
         .arg(&input)
         .args([
-            "--eps", "0.5", "--min-pts", "3", "--algorithm", "exact", "--threads", "4", "--quiet",
+            "--eps",
+            "0.5",
+            "--min-pts",
+            "3",
+            "--algorithm",
+            "exact",
+            "--threads",
+            "4",
+            "--quiet",
         ])
         .arg("--trace")
         .arg(&trace_path)
         .output()
         .expect("run dbscan");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let trace = std::fs::read_to_string(&trace_path).unwrap();
     assert!(trace.starts_with('['), "{}", &trace[..trace.len().min(120)]);
     assert!(trace.ends_with(']'));
@@ -587,20 +658,33 @@ fn trace_folded_export_and_histograms_in_stats() {
         .arg(&trace_path)
         .output()
         .expect("run dbscan");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let folded = std::fs::read_to_string(&trace_path).unwrap();
     // Sequential run: everything on the coordinator timeline, nested under
     // the total span, one "path value" pair per line.
     assert!(folded.lines().count() >= 2, "{folded}");
-    assert!(folded.lines().any(|l| l.starts_with("coordinator;total")), "{folded}");
+    assert!(
+        folded.lines().any(|l| l.starts_with("coordinator;total")),
+        "{folded}"
+    );
     for line in folded.lines() {
         let (path, value) = line.rsplit_once(' ').expect("folded line shape");
         assert!(path.starts_with("coordinator"), "{line}");
         value.parse::<u64>().expect("folded value is nanoseconds");
     }
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"histograms\":{\"task_nanos\":"), "{stdout}");
-    assert!(stdout.contains("\"edge_test_nanos\":{\"count\":"), "{stdout}");
+    assert!(
+        stdout.contains("\"histograms\":{\"task_nanos\":"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("\"edge_test_nanos\":{\"count\":"),
+        "{stdout}"
+    );
     assert!(stdout.contains("\"events_dropped\":0"), "{stdout}");
     std::fs::remove_file(&input).ok();
     std::fs::remove_file(&trace_path).ok();
@@ -611,7 +695,14 @@ fn trace_folded_export_and_histograms_in_stats() {
 fn bad_trace_format_is_a_usage_error() {
     let out = bin()
         .args([
-            "--input", "x.csv", "--eps", "1", "--min-pts", "2", "--trace-format", "svg",
+            "--input",
+            "x.csv",
+            "--eps",
+            "1",
+            "--min-pts",
+            "2",
+            "--trace-format",
+            "svg",
         ])
         .output()
         .unwrap();
@@ -654,7 +745,14 @@ fn bad_duration_is_a_usage_error_naming_flag_and_token() {
     ] {
         let out = bin()
             .args([
-                "--input", "nonexistent.csv", "--eps", "1", "--min-pts", "2", flag, bad,
+                "--input",
+                "nonexistent.csv",
+                "--eps",
+                "1",
+                "--min-pts",
+                "2",
+                flag,
+                bad,
             ])
             .output()
             .unwrap();
@@ -670,8 +768,16 @@ fn bad_duration_is_a_usage_error_naming_flag_and_token() {
 fn bad_deadline_policy_is_a_usage_error() {
     let out = bin()
         .args([
-            "--input", "x.csv", "--eps", "1", "--min-pts", "2",
-            "--deadline", "1s", "--deadline-policy", "panic",
+            "--input",
+            "x.csv",
+            "--eps",
+            "1",
+            "--min-pts",
+            "2",
+            "--deadline",
+            "1s",
+            "--deadline-policy",
+            "panic",
         ])
         .output()
         .unwrap();
@@ -686,8 +792,18 @@ fn bad_deadline_policy_is_a_usage_error() {
 fn bad_degrade_rho_is_a_usage_error() {
     let out = bin()
         .args([
-            "--input", "x.csv", "--eps", "1", "--min-pts", "2",
-            "--deadline", "1s", "--deadline-policy", "degrade", "--degrade-rho", "-0.5",
+            "--input",
+            "x.csv",
+            "--eps",
+            "1",
+            "--min-pts",
+            "2",
+            "--deadline",
+            "1s",
+            "--deadline-policy",
+            "degrade",
+            "--degrade-rho",
+            "-0.5",
         ])
         .output()
         .unwrap();
@@ -706,9 +822,20 @@ fn zero_budget_degrade_exits_zero_with_deadline_object() {
     for threads in [None, Some("2")] {
         let mut cmd = bin();
         cmd.arg("--input").arg(&input).args([
-            "--eps", "0.5", "--min-pts", "3", "--algorithm", "exact",
-            "--deadline", "0s", "--deadline-policy", "degrade",
-            "--degrade-rho", "0.01", "--stats", "--quiet",
+            "--eps",
+            "0.5",
+            "--min-pts",
+            "3",
+            "--algorithm",
+            "exact",
+            "--deadline",
+            "0s",
+            "--deadline-policy",
+            "degrade",
+            "--degrade-rho",
+            "0.01",
+            "--stats",
+            "--quiet",
         ]);
         if let Some(t) = threads {
             cmd.args(["--threads", t]);
@@ -717,7 +844,10 @@ fn zero_budget_degrade_exits_zero_with_deadline_object() {
         assert!(out.status.success(), "threads={threads:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         let line = stdout.lines().next().unwrap_or_default();
-        assert!(line.starts_with("{\"schema\":\"dbscan-stats/v7\","), "{line}");
+        assert!(
+            line.starts_with("{\"schema\":\"dbscan-stats/v7\","),
+            "{line}"
+        );
         assert!(line.contains("\"deadline\":{"), "{line}");
         assert!(line.contains("\"outcome\":\"degraded\""), "{line}");
         assert!(line.contains("\"policy\":\"degrade\""), "{line}");
@@ -751,8 +881,16 @@ fn zero_budget_abort_exits_one_with_diagnostic() {
             .arg("--input")
             .arg(&input)
             .args([
-                "--eps", "0.5", "--min-pts", "3", "--algorithm", algo,
-                "--deadline", "0s", "--deadline-policy", "abort",
+                "--eps",
+                "0.5",
+                "--min-pts",
+                "3",
+                "--algorithm",
+                algo,
+                "--deadline",
+                "0s",
+                "--deadline-policy",
+                "abort",
             ])
             .output()
             .unwrap();
@@ -773,8 +911,16 @@ fn zero_budget_partial_exits_zero_and_marks_incomplete() {
         .arg("--input")
         .arg(&input)
         .args([
-            "--eps", "0.5", "--min-pts", "3",
-            "--deadline", "0s", "--deadline-policy", "partial", "--stats", "--quiet",
+            "--eps",
+            "0.5",
+            "--min-pts",
+            "3",
+            "--deadline",
+            "0s",
+            "--deadline-policy",
+            "partial",
+            "--stats",
+            "--quiet",
         ])
         .output()
         .unwrap();

@@ -148,12 +148,9 @@ impl CancelToken {
         // Store the timestamp before publishing the state so any thread that
         // observes the trip also observes a timestamp at or before it.
         self.tripped_at_ns.store(at_ns, Ordering::Relaxed);
-        let _ = self.state.compare_exchange(
-            STATE_LIVE,
-            reason,
-            Ordering::Release,
-            Ordering::Relaxed,
-        );
+        let _ =
+            self.state
+                .compare_exchange(STATE_LIVE, reason, Ordering::Release, Ordering::Relaxed);
     }
 
     /// Like [`CancelToken::trip`], but a hard (explicit-cancel) reason also
@@ -818,10 +815,7 @@ impl Heartbeats {
     #[inline]
     pub fn beat(&self, w: usize) {
         if let Some(slot) = self.beats.get(w) {
-            slot.store(
-                self.origin.elapsed().as_nanos() as u64,
-                Ordering::Relaxed,
-            );
+            slot.store(self.origin.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 
@@ -952,7 +946,10 @@ mod tests {
         assert!(!ctl.should_stop(), "degrade keeps running");
         assert!(ctl.edge_degraded());
         ctl.cancel();
-        assert!(ctl.should_stop(), "external cancel must stop a degraded run");
+        assert!(
+            ctl.should_stop(),
+            "external cancel must stop a degraded run"
+        );
         assert!(ctl.aborted());
         assert!(matches!(
             ctl.deadline_error(StageId::EdgeTests),

@@ -36,8 +36,11 @@ impl FaultSite {
     pub const COUNT: usize = 3;
 
     /// All sites, in declaration order.
-    pub const ALL: [FaultSite; FaultSite::COUNT] =
-        [FaultSite::Labeling, FaultSite::EdgeTests, FaultSite::BorderAssign];
+    pub const ALL: [FaultSite; FaultSite::COUNT] = [
+        FaultSite::Labeling,
+        FaultSite::EdgeTests,
+        FaultSite::BorderAssign,
+    ];
 
     /// Stable lowercase name (used in panic payloads and the `--faults` spec).
     pub fn name(self) -> &'static str {
@@ -72,7 +75,10 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// An empty plan (injects nothing) with the given seed.
     pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, ..FaultPlan::default() }
+        FaultPlan {
+            seed,
+            ..FaultPlan::default()
+        }
     }
 
     /// Sets the panic probability for `site`, clamped to `[0, 1]`.
@@ -236,8 +242,7 @@ mod tests {
     #[test]
     fn default_plan_is_noop() {
         assert!(FaultPlan::default().is_noop());
-        assert!(!FaultPlan::default()
-            .injects_panic(FaultSite::EdgeTests, 0));
+        assert!(!FaultPlan::default().injects_panic(FaultSite::EdgeTests, 0));
     }
 
     #[cfg(feature = "fault-injection")]

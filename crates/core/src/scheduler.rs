@@ -577,13 +577,19 @@ mod tests {
         assert!(!c.stolen, "position 0 is worker 0's home");
         assert_eq!(c.home, 0);
         let c = q.claim(1).unwrap();
-        assert!(c.stolen, "position 1 belongs to worker 0, claimed by worker 1");
+        assert!(
+            c.stolen,
+            "position 1 belongs to worker 0, claimed by worker 1"
+        );
         assert_eq!(c.home, 0);
         let c = q.claim(1).unwrap();
         assert!(!c.stolen, "position 2 is worker 1's home");
         assert_eq!(c.home, 1);
         let c = q.claim(0).unwrap();
-        assert!(c.stolen, "position 3 belongs to worker 1, claimed by worker 0");
+        assert!(
+            c.stolen,
+            "position 3 belongs to worker 1, claimed by worker 0"
+        );
         assert_eq!(c.home, 1);
     }
 

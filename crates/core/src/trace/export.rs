@@ -97,7 +97,10 @@ pub fn chrome_trace_json_capped(snap: &TraceSnapshot, max_bytes: usize) -> (Stri
             ev.lane
         );
         if ev.name.is_span() {
-            piece.push_str(&format!(",\"ph\":\"X\",\"dur\":{:.3}", ev.dur_ns as f64 / 1_000.0));
+            piece.push_str(&format!(
+                ",\"ph\":\"X\",\"dur\":{:.3}",
+                ev.dur_ns as f64 / 1_000.0
+            ));
         } else {
             piece.push_str(",\"ph\":\"i\",\"s\":\"t\"");
         }
@@ -144,27 +147,26 @@ pub fn folded_stacks(snap: &TraceSnapshot) -> String {
         // Events are sorted (ts, Reverse(dur)) within the lane, so a simple
         // containment stack recovers the nesting.
         let mut stack: Vec<(&TraceEvent, u64)> = Vec::new(); // (span, child time)
-        let close = |stack: &mut Vec<(&TraceEvent, u64)>,
-                         folded: &mut BTreeMap<String, u64>,
-                         upto: u64| {
-            while let Some(&(top, child_ns)) = stack.last() {
-                if top.end_ns() > upto {
-                    break;
-                }
-                stack.pop();
-                let mut path = lane_name(lane);
-                for (anc, _) in stack.iter() {
+        let close =
+            |stack: &mut Vec<(&TraceEvent, u64)>, folded: &mut BTreeMap<String, u64>, upto: u64| {
+                while let Some(&(top, child_ns)) = stack.last() {
+                    if top.end_ns() > upto {
+                        break;
+                    }
+                    stack.pop();
+                    let mut path = lane_name(lane);
+                    for (anc, _) in stack.iter() {
+                        path.push(';');
+                        path.push_str(anc.name.label());
+                    }
                     path.push(';');
-                    path.push_str(anc.name.label());
+                    path.push_str(top.name.label());
+                    *folded.entry(path).or_insert(0) += top.dur_ns.saturating_sub(child_ns);
+                    if let Some(parent) = stack.last_mut() {
+                        parent.1 += top.dur_ns;
+                    }
                 }
-                path.push(';');
-                path.push_str(top.name.label());
-                *folded.entry(path).or_insert(0) += top.dur_ns.saturating_sub(child_ns);
-                if let Some(parent) = stack.last_mut() {
-                    parent.1 += top.dur_ns;
-                }
-            }
-        };
+            };
         for ev in &snap.events[i..j] {
             if !ev.name.is_span() {
                 continue;
@@ -194,10 +196,26 @@ mod tests {
         let base = t.ts_of(start);
         // Coordinator: total span containing a labeling span.
         t.span(0, EventName::PhaseTotal, base, 10_000, [0, 0], false, 0);
-        t.span(0, EventName::PhaseLabeling, base + 1_000, 4_000, [0, 0], false, 0);
+        t.span(
+            0,
+            EventName::PhaseLabeling,
+            base + 1_000,
+            4_000,
+            [0, 0],
+            false,
+            0,
+        );
         // Worker 0: two task spans, one stolen, plus a steal instant.
         t.span(1, EventName::TaskEdge, base, 2_000, [3, 40], false, 1);
-        t.span(1, EventName::TaskEdge, base + 2_500, 1_500, [7, 10], true, 0);
+        t.span(
+            1,
+            EventName::TaskEdge,
+            base + 2_500,
+            1_500,
+            [7, 10],
+            true,
+            0,
+        );
         t.instant(1, EventName::Steal, [7, 0]);
         t.snapshot()
     }
@@ -234,7 +252,11 @@ mod tests {
         let snap = sample_snapshot();
         let (full, omitted) = chrome_trace_json_capped(&snap, usize::MAX);
         assert_eq!(omitted, 0);
-        assert_eq!(full, chrome_trace_json(&snap), "uncapped must be byte-identical");
+        assert_eq!(
+            full,
+            chrome_trace_json(&snap),
+            "uncapped must be byte-identical"
+        );
 
         // A budget with room for the metadata but not the events: every
         // timeline event is cut, the marker records how many, and the result
@@ -250,7 +272,10 @@ mod tests {
         // A budget that fits some events keeps a strict prefix.
         let (partial, omitted) = chrome_trace_json_capped(&snap, full.len() - 50);
         assert!(omitted > 0 && (omitted as usize) < snap.events.len());
-        assert!(partial.contains("\"name\":\"total\""), "prefix keeps the first span");
+        assert!(
+            partial.contains("\"name\":\"total\""),
+            "prefix keeps the first span"
+        );
     }
 
     #[test]

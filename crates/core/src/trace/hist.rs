@@ -207,6 +207,8 @@ mod tests {
         for kind in HistKind::ALL {
             assert!(j.contains(&format!("\"{}\":{{\"count\":", kind.name())));
         }
-        assert!(j.contains("\"neighbor_list_len\":{\"count\":1,\"min\":7,\"max\":7,\"buckets\":[[4,1]]}"));
+        assert!(j.contains(
+            "\"neighbor_list_len\":{\"count\":1,\"min\":7,\"max\":7,\"buckets\":[[4,1]]}"
+        ));
     }
 }

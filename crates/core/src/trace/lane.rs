@@ -34,7 +34,9 @@ pub struct TraceLane {
 impl TraceLane {
     pub(crate) fn new(capacity: usize) -> Self {
         TraceLane {
-            slots: (0..capacity).map(|_| [const { AtomicU64::new(0) }; 4]).collect(),
+            slots: (0..capacity)
+                .map(|_| [const { AtomicU64::new(0) }; 4])
+                .collect(),
             len: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
         }

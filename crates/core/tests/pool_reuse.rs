@@ -92,8 +92,8 @@ fn ten_runs_on_one_pool_are_bit_identical_with_zero_thread_growth() {
             if run == 5 {
                 // Kill every edge task: the attempt poisons, the driver falls
                 // back sequentially, and the result must still be identical.
-                c.faults =
-                    dbscan_core::FaultPlan::new(42).with_panic(dbscan_core::FaultSite::EdgeTests, 1.0);
+                c.faults = dbscan_core::FaultPlan::new(42)
+                    .with_panic(dbscan_core::FaultSite::EdgeTests, 1.0);
             }
             c
         };

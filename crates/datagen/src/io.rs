@@ -154,7 +154,10 @@ pub fn try_points_from_flat<const D: usize>(flat: &[f64]) -> Result<Vec<Point<D>
         return Err(DbscanError::Parse {
             line: flat.len() / D + 1,
             token: format!("{rem} trailing coordinate(s)"),
-            message: format!("flat length {} is not a multiple of the dimension {D}", flat.len()),
+            message: format!(
+                "flat length {} is not a multiple of the dimension {D}",
+                flat.len()
+            ),
         });
     }
     Ok(flat
@@ -226,7 +229,11 @@ mod tests {
         let path = tmpfile("ragged.csv");
         std::fs::write(&path, "1,2\n3,4,5\n").unwrap();
         match read_csv_dynamic(&path).unwrap_err() {
-            DbscanError::Parse { line, token, message } => {
+            DbscanError::Parse {
+                line,
+                token,
+                message,
+            } => {
                 assert_eq!(line, 2);
                 assert_eq!(token, "3,4,5");
                 assert!(message.contains("3 fields, expected 2"), "{message}");
@@ -252,7 +259,12 @@ mod tests {
 
     #[test]
     fn try_points_from_flat_rejects_partial_rows() {
-        assert_eq!(try_points_from_flat::<2>(&[1.0, 2.0, 3.0, 4.0]).unwrap().len(), 2);
+        assert_eq!(
+            try_points_from_flat::<2>(&[1.0, 2.0, 3.0, 4.0])
+                .unwrap()
+                .len(),
+            2
+        );
         match try_points_from_flat::<2>(&[1.0, 2.0, 3.0]).unwrap_err() {
             DbscanError::Parse { line, token, .. } => {
                 assert_eq!(line, 2);

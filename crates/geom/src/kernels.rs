@@ -110,7 +110,11 @@ impl<'a, const D: usize> SoaBlock<'a, D> {
 /// is bit-identical to the scalar computation. (`D` is a compile-time
 /// constant, so the outer loop fully unrolls per monomorphization.)
 #[inline]
-pub fn dist_sq_one_to_block<const D: usize>(q: &Point<D>, block: &SoaBlock<'_, D>, out: &mut [f64]) {
+pub fn dist_sq_one_to_block<const D: usize>(
+    q: &Point<D>,
+    block: &SoaBlock<'_, D>,
+    out: &mut [f64],
+) {
     let len = out.len();
     assert_eq!(len, block.len(), "out must have one slot per candidate");
     let lane0 = &block.lanes[0][..len];
@@ -222,7 +226,11 @@ pub fn count_within_aos_capped<const D: usize>(
 
 /// Is any point of `block` within the closed ball `B(q, √eps_sq)`? Early
 /// exit between chunks only.
-pub fn any_within_block<const D: usize>(q: &Point<D>, block: &SoaBlock<'_, D>, eps_sq: f64) -> bool {
+pub fn any_within_block<const D: usize>(
+    q: &Point<D>,
+    block: &SoaBlock<'_, D>,
+    eps_sq: f64,
+) -> bool {
     capped_chunk_scan(block.len(), 1, |start, len| {
         count_chunk(q, &block.sub(start, len), eps_sq)
     })
@@ -308,7 +316,9 @@ mod tests {
 
     #[test]
     fn counts_and_predicates_match_scalar() {
-        let pts: Vec<Point<2>> = (0..200).map(|i| p2((i % 17) as f64, (i % 23) as f64)).collect();
+        let pts: Vec<Point<2>> = (0..200)
+            .map(|i| p2((i % 17) as f64, (i % 23) as f64))
+            .collect();
         let (data, len) = block_of(&pts);
         let block = SoaBlock::from_contiguous(&data, len);
         let q = p2(8.0, 11.0);
@@ -320,7 +330,10 @@ mod tests {
                 let (c, ex) = count_within_block_capped(&q, &block, eps_sq, cap);
                 assert_eq!(c.min(cap), brute.min(cap), "cap={cap}");
                 assert!(ex <= len);
-                assert_eq!(count_within_aos_capped(&q, &pts, eps_sq, cap).min(cap), brute.min(cap));
+                assert_eq!(
+                    count_within_aos_capped(&q, &pts, eps_sq, cap).min(cap),
+                    brute.min(cap)
+                );
             }
         }
     }
@@ -334,9 +347,7 @@ mod tests {
         let ba = SoaBlock::<2>::from_contiguous(&da, la);
         let bb = SoaBlock::<2>::from_contiguous(&db, lb);
         for eps_sq in [1.0, 48.9, 49.0, 1e6] {
-            let brute = a
-                .iter()
-                .any(|p| b.iter().any(|r| p.dist_sq(r) <= eps_sq));
+            let brute = a.iter().any(|p| b.iter().any(|r| p.dist_sq(r) <= eps_sq));
             assert_eq!(bcp_block_pair(&ba, &bb, eps_sq), brute, "eps_sq={eps_sq}");
             assert_eq!(bcp_block_pair(&bb, &ba, eps_sq), brute);
         }

@@ -40,7 +40,10 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::Cell(e) => write!(f, "{e}"),
             BuildError::Param { what, value } => {
-                write!(f, "{what} must be positive (and not absurdly small): got {value}")
+                write!(
+                    f,
+                    "{what} must be positive (and not absurdly small): got {value}"
+                )
             }
             BuildError::Budget {
                 structure,

@@ -468,7 +468,10 @@ mod tests {
         let pts = vec![p2(0.0, 0.0), p2(1e308, 1e308)];
         assert!(matches!(
             GridIndex::try_build(&pts, 1.0, None),
-            Err(BuildError::Cell(dbscan_geom::CellError::Overflow { dim: 0, .. }))
+            Err(BuildError::Cell(dbscan_geom::CellError::Overflow {
+                dim: 0,
+                ..
+            }))
         ));
     }
 
@@ -477,7 +480,10 @@ mod tests {
         let pts: Vec<Point<2>> = (0..100).map(|i| p2(i as f64, 0.0)).collect();
         assert!(matches!(
             GridIndex::try_build(&pts, 1.0, Some(64)),
-            Err(BuildError::Budget { structure: "grid index", .. })
+            Err(BuildError::Budget {
+                structure: "grid index",
+                ..
+            })
         ));
         // A generous budget admits the same build.
         assert!(GridIndex::try_build(&pts, 1.0, Some(1 << 20)).is_ok());

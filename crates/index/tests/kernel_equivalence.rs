@@ -150,7 +150,27 @@ macro_rules! kernel_equivalence_in_d {
     };
 }
 
-kernel_equivalence_in_d!(2, dists_match_scalar_2d, counts_match_scalar_2d, bcp_matches_scalar_2d);
-kernel_equivalence_in_d!(3, dists_match_scalar_3d, counts_match_scalar_3d, bcp_matches_scalar_3d);
-kernel_equivalence_in_d!(5, dists_match_scalar_5d, counts_match_scalar_5d, bcp_matches_scalar_5d);
-kernel_equivalence_in_d!(7, dists_match_scalar_7d, counts_match_scalar_7d, bcp_matches_scalar_7d);
+kernel_equivalence_in_d!(
+    2,
+    dists_match_scalar_2d,
+    counts_match_scalar_2d,
+    bcp_matches_scalar_2d
+);
+kernel_equivalence_in_d!(
+    3,
+    dists_match_scalar_3d,
+    counts_match_scalar_3d,
+    bcp_matches_scalar_3d
+);
+kernel_equivalence_in_d!(
+    5,
+    dists_match_scalar_5d,
+    counts_match_scalar_5d,
+    bcp_matches_scalar_5d
+);
+kernel_equivalence_in_d!(
+    7,
+    dists_match_scalar_7d,
+    counts_match_scalar_7d,
+    bcp_matches_scalar_7d
+);

@@ -87,11 +87,7 @@ impl CellsCache {
     /// exactly; a colliding key with different data is a miss. The linear
     /// scan is deliberate: entry counts are small (each entry is a whole
     /// built index).
-    pub fn get(
-        &mut self,
-        key: &CacheKey,
-        points: &[f64],
-    ) -> Option<Arc<dyn Any + Send + Sync>> {
+    pub fn get(&mut self, key: &CacheKey, points: &[f64]) -> Option<Arc<dyn Any + Send + Sync>> {
         self.clock += 1;
         match self.entries.iter_mut().find(|e| e.key == *key) {
             Some(e) if e.points.as_slice() == points => {
@@ -237,7 +233,12 @@ mod tests {
     #[test]
     fn downcast_roundtrip() {
         let mut c = CellsCache::new(100);
-        c.insert(key(1), pts(1), Arc::new(7u32) as Arc<dyn Any + Send + Sync>, 4);
+        c.insert(
+            key(1),
+            pts(1),
+            Arc::new(7u32) as Arc<dyn Any + Send + Sync>,
+            4,
+        );
         let got = c.get(&key(1), &[1.0]).unwrap().downcast::<u32>().unwrap();
         assert_eq!(*got, 7);
     }
@@ -246,18 +247,33 @@ mod tests {
     fn colliding_key_with_different_data_is_never_served() {
         let mut c = CellsCache::new(100);
         // Tenant A's structure, stored under key(1) with A's data.
-        c.insert(key(1), pts(1), Arc::new(7u32) as Arc<dyn Any + Send + Sync>, 4);
+        c.insert(
+            key(1),
+            pts(1),
+            Arc::new(7u32) as Arc<dyn Any + Send + Sync>,
+            4,
+        );
         // Tenant B's request hashes to the same key but carries other data:
         // a verified miss, not A's structure.
         assert!(c.get(&key(1), &[2.0]).is_none());
         assert_eq!(c.stats().collisions, 1);
         // B's insert under the colliding key replaces A's stale entry ...
-        c.insert(key(1), pts(2), Arc::new(9u32) as Arc<dyn Any + Send + Sync>, 4);
+        c.insert(
+            key(1),
+            pts(2),
+            Arc::new(9u32) as Arc<dyn Any + Send + Sync>,
+            4,
+        );
         assert_eq!(c.stats().entries, 1);
         let got = c.get(&key(1), &[2.0]).unwrap().downcast::<u32>().unwrap();
         assert_eq!(*got, 9);
         // ... while a same-data re-insert stays first-wins.
-        c.insert(key(1), pts(2), Arc::new(11u32) as Arc<dyn Any + Send + Sync>, 4);
+        c.insert(
+            key(1),
+            pts(2),
+            Arc::new(11u32) as Arc<dyn Any + Send + Sync>,
+            4,
+        );
         let again = c.get(&key(1), &[2.0]).unwrap().downcast::<u32>().unwrap();
         assert_eq!(*again, 9);
     }

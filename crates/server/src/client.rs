@@ -100,8 +100,7 @@ impl Client {
                 Err(e) => return Err(e),
             }
         }
-        parse(resp.trim())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        parse(resp.trim()).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Like [`Client::call`], but retries `overloaded` responses through the
@@ -239,7 +238,10 @@ mod tests {
         let mut b = Backoff::new(42, 1000);
         for _ in 0..50 {
             let d = b.next_delay_ms(Some(600)).unwrap();
-            assert!((300..900).contains(&d), "hinted delay {d} outside [300, 900)");
+            assert!(
+                (300..900).contains(&d),
+                "hinted delay {d} outside [300, 900)"
+            );
         }
     }
 

@@ -247,8 +247,10 @@ impl Journal {
         }
 
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let mut recovered: Vec<(u64, JobSpec)> =
-            live.iter().map(|(&id, (_, spec))| (id, spec.clone())).collect();
+        let mut recovered: Vec<(u64, JobSpec)> = live
+            .iter()
+            .map(|(&id, (_, spec))| (id, spec.clone()))
+            .collect();
         recovered.sort_by_key(|(id, _)| *id);
         let journal = Journal {
             cfg: cfg.clone(),
@@ -504,10 +506,7 @@ fn decode_submit_body(body: &[u8]) -> Result<(u64, JobSpec), String> {
     let meta = parse(meta_text).map_err(|e| format!("metadata: {e}"))?;
     let point_bytes = &payload[nl + 1..];
 
-    let id = meta
-        .get("id")
-        .and_then(Value::as_u64)
-        .ok_or("missing id")?;
+    let id = meta.get("id").and_then(Value::as_u64).ok_or("missing id")?;
     let vals = meta
         .get("vals")
         .and_then(Value::as_u64)
@@ -638,10 +637,8 @@ mod tests {
     use super::*;
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dbscan-journal-{name}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("dbscan-journal-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -692,7 +689,10 @@ mod tests {
             assert_eq!(back.return_labels, spec.return_labels);
             assert_eq!(back.tag, spec.tag);
             assert_eq!(back.trace, spec.trace);
-            assert!(!back.recovered, "recovered is set at re-enqueue, not decode");
+            assert!(
+                !back.recovered,
+                "recovered is set at re-enqueue, not decode"
+            );
         }
     }
 
@@ -736,10 +736,7 @@ mod tests {
         assert_eq!(replay.recovered.len(), 1);
         assert_eq!(replay.recovered[0].0, 1);
         // The file was physically truncated to the valid prefix.
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            t.valid_bytes
-        );
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), t.valid_bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -78,7 +78,12 @@ impl Value {
 
 /// Convenience builder for object values.
 pub fn obj(members: Vec<(&str, Value)>) -> Value {
-    Value::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn write_value(out: &mut String, v: &Value) {
@@ -189,10 +194,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected {:?} at byte {}", b as char, self.pos))
         }
     }
 
@@ -210,13 +212,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn nested(
-        &mut self,
-        f: fn(&mut Parser<'a>) -> Result<Value, String>,
-    ) -> Result<Value, String> {
+    fn nested(&mut self, f: fn(&mut Parser<'a>) -> Result<Value, String>) -> Result<Value, String> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
         }
         let v = f(self);
         self.depth -= 1;
@@ -284,9 +286,7 @@ impl<'a> Parser<'a> {
                             } else {
                                 hi
                             };
-                            out.push(
-                                char::from_u32(code).ok_or("bad unicode escape")?,
-                            );
+                            out.push(char::from_u32(code).ok_or("bad unicode escape")?);
                         }
                         b => {
                             return Err(format!("bad escape {:?}", b as char));
@@ -398,8 +398,15 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         for bad in [
-            "", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"unterminated",
-            "{\"a\":1} extra", "{'single':1}",
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "1.2.3",
+            "\"unterminated",
+            "{\"a\":1} extra",
+            "{'single':1}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }

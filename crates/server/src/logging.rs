@@ -69,7 +69,10 @@ pub struct Logger {
 
 impl Logger {
     pub fn stderr(level: Level) -> Logger {
-        Logger { level, sink: Mutex::new(Sink::Stderr) }
+        Logger {
+            level,
+            sink: Mutex::new(Sink::Stderr),
+        }
     }
 
     pub fn to_file(level: Level, path: PathBuf, max_bytes: u64) -> io::Result<Logger> {
@@ -77,7 +80,12 @@ impl Logger {
         let written = file.metadata()?.len();
         Ok(Logger {
             level,
-            sink: Mutex::new(Sink::File { path, file, written, max_bytes }),
+            sink: Mutex::new(Sink::File {
+                path,
+                file,
+                written,
+                max_bytes,
+            }),
         })
     }
 
@@ -108,7 +116,12 @@ impl Logger {
                 let mut err = io::stderr().lock();
                 let _ = writeln!(err, "{line}");
             }
-            Sink::File { path, file, written, max_bytes } => {
+            Sink::File {
+                path,
+                file,
+                written,
+                max_bytes,
+            } => {
                 let needed = line.len() as u64 + 1;
                 if *written > 0 && *written + needed > *max_bytes {
                     // Atomic rotation: rename the full file aside, then start
@@ -117,8 +130,7 @@ impl Logger {
                     let mut rotated = path.clone().into_os_string();
                     rotated.push(".1");
                     if std::fs::rename(&path, &rotated).is_ok() {
-                        if let Ok(fresh) =
-                            OpenOptions::new().create(true).append(true).open(&path)
+                        if let Ok(fresh) = OpenOptions::new().create(true).append(true).open(&path)
                         {
                             *file = fresh;
                             *written = 0;
@@ -156,7 +168,10 @@ mod tests {
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("dbscan-logging-{}-{name}.jsonl", std::process::id()));
+        p.push(format!(
+            "dbscan-logging-{}-{name}.jsonl",
+            std::process::id()
+        ));
         let _ = std::fs::remove_file(&p);
         let mut rotated = p.clone().into_os_string();
         rotated.push(".1");
@@ -180,7 +195,10 @@ mod tests {
     fn file_sink_writes_parseable_json_lines() {
         let path = temp_path("lines");
         let log = Logger::to_file(Level::Info, path.clone(), u64::MAX).unwrap();
-        log.info("job_done", vec![("job", Value::Num(7.0)), ("ok", Value::Bool(true))]);
+        log.info(
+            "job_done",
+            vec![("job", Value::Num(7.0)), ("ok", Value::Bool(true))],
+        );
         log.debug("hidden", vec![]); // below the level → not written
         drop(log);
         let text = std::fs::read_to_string(&path).unwrap();

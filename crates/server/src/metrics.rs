@@ -212,9 +212,11 @@ impl Metrics {
     /// (compare-exchange loop: concurrent executors must not interleave the
     /// load/compute/store and lose each other's samples).
     pub fn observe_job_ms(&self, ms: u64) {
-        let _ = self.avg_job_ms.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |prev| {
-            Some(if prev == 0 { ms } else { (3 * prev + ms) / 4 })
-        });
+        let _ = self
+            .avg_job_ms
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |prev| {
+                Some(if prev == 0 { ms } else { (3 * prev + ms) / 4 })
+            });
     }
 }
 
@@ -279,7 +281,10 @@ pub fn render_prometheus(m: &Metrics, g: &Gauges) -> String {
                 );
             }
         }
-        let _ = writeln!(out, "dbscan_server_{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+        let _ = writeln!(
+            out,
+            "dbscan_server_{name}_bucket{{le=\"+Inf\"}} {cumulative}"
+        );
         let _ = writeln!(out, "dbscan_server_{name}_sum {}", hist.sum());
         let _ = writeln!(out, "dbscan_server_{name}_count {cumulative}");
     }
@@ -332,7 +337,7 @@ mod tests {
         assert_eq!(h.bucket(1), 2); // 2 and 3
         assert_eq!(h.bucket(9), 1); // 1000 in [512, 1024)
         assert_eq!(h.bucket(63), 1); // u64::MAX
-        // fetch_add wraps, so the sum is (0+1+2+3+1000+u64::MAX) mod 2^64.
+                                     // fetch_add wraps, so the sum is (0+1+2+3+1000+u64::MAX) mod 2^64.
         assert_eq!(h.sum(), 1006u64.wrapping_add(u64::MAX));
     }
 
@@ -374,7 +379,10 @@ mod tests {
         assert_eq!(get("dbscan_server_service_time_us_bucket{le=\"1\"}"), 1.0);
         assert_eq!(get("dbscan_server_service_time_us_bucket{le=\"7\"}"), 3.0);
         assert_eq!(get("dbscan_server_service_time_us_bucket{le=\"511\"}"), 4.0);
-        assert_eq!(get("dbscan_server_service_time_us_bucket{le=\"+Inf\"}"), 4.0);
+        assert_eq!(
+            get("dbscan_server_service_time_us_bucket{le=\"+Inf\"}"),
+            4.0
+        );
         // Buckets are monotonically non-decreasing in exposition order.
         let mut last = 0.0;
         for (n, v) in &parsed {

@@ -56,7 +56,10 @@ impl HealthSample {
             ("cache_hits", Value::Num(self.cache_hits as f64)),
             ("cache_misses", Value::Num(self.cache_misses as f64)),
             ("cache_bytes", Value::Num(self.cache_bytes as f64)),
-            ("completed_in_window", Value::Num(self.completed_in_window as f64)),
+            (
+                "completed_in_window",
+                Value::Num(self.completed_in_window as f64),
+            ),
             ("throughput_per_s", Value::Num(self.throughput_per_s)),
             ("cache_hit_rate", Value::Num(self.cache_hit_rate)),
         ])

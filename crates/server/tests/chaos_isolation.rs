@@ -22,7 +22,10 @@ const MIN_PTS: usize = 4;
 #[test]
 fn faulty_tenants_cannot_harm_healthy_ones() {
     let _g = lock();
-    assert!(dbscan_threads().is_empty(), "daemon threads alive at test start");
+    assert!(
+        dbscan_threads().is_empty(),
+        "daemon threads alive at test start"
+    );
 
     let healthy_pts = blob_points(800, 0x11);
     let huge_pts = blob_points(60_000, 0x22);
@@ -45,7 +48,11 @@ fn faulty_tenants_cannot_harm_healthy_ones() {
     let tenants: Vec<std::thread::JoinHandle<(String, Value)>> = (0..8)
         .map(|i| {
             let addr = addr.clone();
-            let pts = if i == 2 { huge_pts.clone() } else { healthy_pts.clone() };
+            let pts = if i == 2 {
+                huge_pts.clone()
+            } else {
+                healthy_pts.clone()
+            };
             std::thread::spawn(move || {
                 let mut client = Client::connect_tcp(&addr).expect("connect");
                 let mut extra: Vec<(&str, Value)> = Vec::new();
@@ -82,11 +89,17 @@ fn faulty_tenants_cannot_harm_healthy_ones() {
             .and_then(Value::as_str);
         match kind.as_str() {
             "faulted" => {
-                assert_eq!(state, "failed", "faulted tenant should fail typed: {resp:?}");
+                assert_eq!(
+                    state, "failed",
+                    "faulted tenant should fail typed: {resp:?}"
+                );
                 assert_eq!(code, Some("worker_panicked"), "{resp:?}");
             }
             "oversized" => {
-                assert_eq!(state, "failed", "oversized tenant should fail typed: {resp:?}");
+                assert_eq!(
+                    state, "failed",
+                    "oversized tenant should fail typed: {resp:?}"
+                );
                 assert_eq!(code, Some("resource_limit"), "{resp:?}");
             }
             _ => {
@@ -131,7 +144,8 @@ fn faulty_tenants_cannot_harm_healthy_ones() {
     );
     assert_eq!(
         metric("jobs_submitted_total"),
-        metric("jobs_completed_total") + metric("jobs_failed_total")
+        metric("jobs_completed_total")
+            + metric("jobs_failed_total")
             + metric("jobs_cancelled_total"),
         "accounting invariant must hold under chaos"
     );

@@ -60,7 +60,11 @@ fn assert_still_serving(addr: &std::net::SocketAddr) {
     let pts = blob_points(60, 0xabad);
     let job = submit_ok(&mut client, &submit_req(&pts, EPS, MIN_PTS, vec![]));
     let r = client.call(&result_req(job)).expect("result");
-    assert_eq!(r.get("state").and_then(Value::as_str), Some("done"), "{r:?}");
+    assert_eq!(
+        r.get("state").and_then(Value::as_str),
+        Some("done"),
+        "{r:?}"
+    );
 }
 
 #[test]
@@ -97,7 +101,11 @@ fn garbage_frames_draw_typed_errors_not_panics() {
     ];
     for abuse in &abuses {
         let resp = raw_exchange(&addr, abuse).expect("typed error line");
-        assert_eq!(error_code(&resp), "bad_request", "abuse {abuse:?} -> {resp}");
+        assert_eq!(
+            error_code(&resp),
+            "bad_request",
+            "abuse {abuse:?} -> {resp}"
+        );
     }
 
     // A half-written frame followed by a clean disconnect must also be fine.
@@ -189,7 +197,9 @@ fn the_connection_cap_sheds_excess_connections_with_a_typed_error() {
     let (handle, addr) = tcp_server(|cfg| cfg.max_conns = 2);
 
     // Fill both slots with idle-but-live connections.
-    let held: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+    let held: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
     // Give the accept loop a moment to register both.
     std::thread::sleep(Duration::from_millis(50));
 
@@ -224,7 +234,10 @@ fn the_connection_cap_sheds_excess_connections_with_a_typed_error() {
         .and_then(|st| st.get("rejected_conns"))
         .and_then(Value::as_u64)
         .unwrap_or(0);
-    assert!(rejected >= 1, "rejected connection not accounted: {health:?}");
+    assert!(
+        rejected >= 1,
+        "rejected connection not accounted: {health:?}"
+    );
     drop(client);
     handle.shutdown();
     handle.wait();
@@ -243,7 +256,9 @@ fn a_dangling_unterminated_frame_is_served_at_eof() {
     s.write_all(b"{\"verb\": \"health\"}").expect("write");
     s.shutdown(std::net::Shutdown::Write).expect("half-close");
     let mut line = String::new();
-    let n = BufReader::new(&mut s).read_line(&mut line).expect("read response");
+    let n = BufReader::new(&mut s)
+        .read_line(&mut line)
+        .expect("read response");
     assert!(n > 0, "EOF-terminated frame got no response");
     let v = dbscan_server::json::parse(line.trim()).expect("json response");
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{line}");

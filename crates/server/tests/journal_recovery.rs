@@ -61,12 +61,22 @@ fn replay_reexecutes_unfinished_jobs_and_honours_tombstones() {
     let dir = scratch("replay");
     let pts = blob_points(500, 0x5eed);
     let params = DbscanParams::new(EPS, MIN_PTS).unwrap();
-    let expected = format!("{:016x}", label_hash(&grid_exact(&pts, params).flat_labels()));
+    let expected = format!(
+        "{:016x}",
+        label_hash(&grid_exact(&pts, params).flat_labels())
+    );
 
     // Journal as a crashed daemon would have left it: job 7 acked but never
     // finished, job 9 acked and terminal (tombstoned, result delivered).
     let mut log = Vec::new();
-    log.extend_from_slice(&submit_record(7, Some("alpha"), EPS, MIN_PTS, 2, &flat(&pts)));
+    log.extend_from_slice(&submit_record(
+        7,
+        Some("alpha"),
+        EPS,
+        MIN_PTS,
+        2,
+        &flat(&pts),
+    ));
     log.extend_from_slice(&submit_record(9, None, EPS, MIN_PTS, 2, &flat(&pts)));
     log.extend_from_slice(&tombstone_record(9, "done"));
     std::fs::write(dir.join(JOURNAL_FILE), &log).expect("write journal");
@@ -76,7 +86,11 @@ fn replay_reexecutes_unfinished_jobs_and_honours_tombstones() {
     // The unfinished job replays to a bit-identical result, flagged as
     // recovered; the tombstoned one is gone for good.
     let r7 = client.call(&result_req(7)).expect("result 7");
-    assert_eq!(r7.get("state").and_then(Value::as_str), Some("done"), "{r7:?}");
+    assert_eq!(
+        r7.get("state").and_then(Value::as_str),
+        Some("done"),
+        "{r7:?}"
+    );
     assert_eq!(
         r7.get("label_hash").and_then(Value::as_str),
         Some(expected.as_str()),
@@ -91,7 +105,9 @@ fn replay_reexecutes_unfinished_jobs_and_honours_tombstones() {
     );
     let r9 = client.call(&result_req(9)).expect("result 9");
     assert_eq!(
-        r9.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        r9.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
         Some("unknown_job"),
         "tombstoned job must never re-run: {r9:?}"
     );
@@ -100,7 +116,10 @@ fn replay_reexecutes_unfinished_jobs_and_honours_tombstones() {
     // The id counter resumed above everything ever journaled, so fresh ids
     // cannot collide with delivered (tombstoned) ones.
     let fresh = submit_ok(&mut client, &submit_req(&pts, EPS, MIN_PTS, vec![]));
-    assert!(fresh > 9, "fresh id {fresh} must exceed the journaled high-water mark");
+    assert!(
+        fresh > 9,
+        "fresh id {fresh} must exceed the journaled high-water mark"
+    );
 
     handle.shutdown();
     handle.wait();
@@ -137,7 +156,12 @@ fn corrupt_tails_truncate_to_the_valid_prefix_without_aborting() {
         (
             "garbage",
             // Both records intact, then non-record bytes to the end.
-            [rec1.clone(), rec2.clone(), b"!!not a journal record!!".to_vec()].concat(),
+            [
+                rec1.clone(),
+                rec2.clone(),
+                b"!!not a journal record!!".to_vec(),
+            ]
+            .concat(),
             2,
         ),
     ];
@@ -174,7 +198,9 @@ fn corrupt_tails_truncate_to_the_valid_prefix_without_aborting() {
         for id in 1..=want_recovered {
             let r = client.call(&result_req(id)).expect("post-delivery lookup");
             assert_eq!(
-                r.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+                r.get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Value::as_str),
                 Some("unknown_job"),
                 "case {tag}: delivered job {id} must not re-run: {r:?}"
             );
@@ -198,7 +224,11 @@ fn compaction_bounds_the_log_and_leaves_nothing_to_recover() {
     for _ in 0..6 {
         let job = submit_ok(&mut client, &submit_req(&pts, EPS, MIN_PTS, vec![]));
         let r = client.call(&result_req(job)).expect("result");
-        assert_eq!(r.get("state").and_then(Value::as_str), Some("done"), "{r:?}");
+        assert_eq!(
+            r.get("state").and_then(Value::as_str),
+            Some("done"),
+            "{r:?}"
+        );
     }
     let health = client.call(&verb("health")).expect("health");
     let jstat = |k: &str| {
@@ -209,7 +239,10 @@ fn compaction_bounds_the_log_and_leaves_nothing_to_recover() {
             .and_then(Value::as_u64)
             .unwrap_or(0)
     };
-    assert!(jstat("compactions") >= 1, "the tiny trigger must have compacted");
+    assert!(
+        jstat("compactions") >= 1,
+        "the tiny trigger must have compacted"
+    );
     assert_eq!(jstat("live_jobs"), 0, "everything was delivered");
     assert!(
         jstat("bytes") <= 8 << 10,
@@ -219,8 +252,13 @@ fn compaction_bounds_the_log_and_leaves_nothing_to_recover() {
     handle.shutdown();
     handle.wait();
 
-    let disk = std::fs::metadata(dir.join(JOURNAL_FILE)).expect("journal exists").len();
-    assert!(disk <= 8 << 10, "on-disk journal is {disk} bytes, above the trigger");
+    let disk = std::fs::metadata(dir.join(JOURNAL_FILE))
+        .expect("journal exists")
+        .len();
+    assert!(
+        disk <= 8 << 10,
+        "on-disk journal is {disk} bytes, above the trigger"
+    );
 
     // A restart on the compacted journal has nothing to replay.
     let (handle, mut client) = journaled_server(&dir, |_| {});

@@ -55,7 +55,11 @@ fn served_exact_run_is_bit_identical_to_standalone() {
         Some(standalone.num_clusters as u64)
     );
     let served = labels_of(&resp);
-    assert_eq!(served, standalone.flat_labels(), "labels must match bit-for-bit");
+    assert_eq!(
+        served,
+        standalone.flat_labels(),
+        "labels must match bit-for-bit"
+    );
     assert_eq!(
         resp.get("label_hash").and_then(Value::as_str),
         Some(format!("{:016x}", label_hash(&standalone.flat_labels())).as_str())
@@ -104,7 +108,10 @@ fn repeat_queries_hit_the_structure_cache_with_identical_output() {
     assert_eq!(r3.get("rho_used").and_then(Value::as_f64), Some(0.01));
 
     let health = client.call(&verb("health")).expect("health");
-    let cache = health.get("stats").and_then(|s| s.get("cache")).expect("cache stats");
+    let cache = health
+        .get("stats")
+        .and_then(|s| s.get("cache"))
+        .expect("cache stats");
     assert!(cache.get("hits").and_then(Value::as_u64).unwrap() >= 2);
     assert_eq!(cache.get("entries").and_then(Value::as_u64), Some(1));
 
@@ -135,7 +142,11 @@ fn truncated_partial_build_never_poisons_the_structure_cache() {
         ),
     );
     let r1 = client.call(&result_req(partial)).expect("partial result");
-    assert_eq!(r1.get("state").and_then(Value::as_str), Some("done"), "{r1:?}");
+    assert_eq!(
+        r1.get("state").and_then(Value::as_str),
+        Some("done"),
+        "{r1:?}"
+    );
     assert_eq!(r1.get("outcome").and_then(Value::as_str), Some("partial"));
     assert_eq!(r1.get("complete").and_then(Value::as_bool), Some(false));
 
@@ -144,7 +155,11 @@ fn truncated_partial_build_never_poisons_the_structure_cache() {
     // standalone exact run, not the truncated prefix.
     let full = submit_ok(&mut client, &submit_req(&pts, EPS, MIN_PTS, vec![]));
     let r2 = client.call(&result_req(full)).expect("full result");
-    assert_eq!(r2.get("outcome").and_then(Value::as_str), Some("exact"), "{r2:?}");
+    assert_eq!(
+        r2.get("outcome").and_then(Value::as_str),
+        Some("exact"),
+        "{r2:?}"
+    );
     assert_eq!(r2.get("complete").and_then(Value::as_bool), Some(true));
     assert_eq!(
         r2.get("from_cache").and_then(Value::as_bool),
@@ -183,7 +198,9 @@ fn terminal_records_are_released_after_result_delivery() {
             ]))
             .expect("post-delivery call");
         assert_eq!(
-            gone.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+            gone.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Value::as_str),
             Some("unknown_job"),
             "{verb_name} after delivery should not find the job: {gone:?}"
         );
@@ -222,7 +239,9 @@ fn saturated_queue_sheds_with_retry_after_and_never_hangs() {
         .expect("shed submit");
     assert_eq!(shed.get("ok").and_then(Value::as_bool), Some(false));
     assert_eq!(
-        shed.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        shed.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
         Some("overloaded")
     );
     assert!(
@@ -233,7 +252,11 @@ fn saturated_queue_sheds_with_retry_after_and_never_hangs() {
     // The admitted jobs still complete normally.
     for job in [running, queued] {
         let r = client.call(&result_req(job)).expect("result");
-        assert_eq!(r.get("state").and_then(Value::as_str), Some("done"), "{r:?}");
+        assert_eq!(
+            r.get("state").and_then(Value::as_str),
+            Some("done"),
+            "{r:?}"
+        );
     }
 
     handle.shutdown();
@@ -288,10 +311,23 @@ fn pressure_degradation_is_sandwich_valid_and_bit_identical_to_standalone_approx
     let job = submit_ok(&mut client, &submit_req(&pts, EPS, MIN_PTS, vec![]));
 
     let resp = client.call(&result_req(job)).expect("result");
-    assert_eq!(resp.get("state").and_then(Value::as_str), Some("done"), "{resp:?}");
-    assert_eq!(resp.get("outcome").and_then(Value::as_str), Some("degraded"));
-    assert_eq!(resp.get("degraded_by_server").and_then(Value::as_bool), Some(true));
-    assert_eq!(resp.get("rho_used").and_then(Value::as_f64), Some(OVERLOAD_RHO));
+    assert_eq!(
+        resp.get("state").and_then(Value::as_str),
+        Some("done"),
+        "{resp:?}"
+    );
+    assert_eq!(
+        resp.get("outcome").and_then(Value::as_str),
+        Some("degraded")
+    );
+    assert_eq!(
+        resp.get("degraded_by_server").and_then(Value::as_bool),
+        Some(true)
+    );
+    assert_eq!(
+        resp.get("rho_used").and_then(Value::as_f64),
+        Some(OVERLOAD_RHO)
+    );
     // The degraded answer is exactly the standalone rho-approximate run —
     // load shedding swaps the algorithm, it does not invent output.
     assert_eq!(labels_of(&resp), approx.flat_labels());
@@ -333,7 +369,11 @@ fn cancel_verb_stops_queued_and_running_jobs() {
         ]))
         .expect("cancel running");
     let r = client.call(&result_req(running)).expect("result");
-    assert_eq!(r.get("state").and_then(Value::as_str), Some("cancelled"), "{r:?}");
+    assert_eq!(
+        r.get("state").and_then(Value::as_str),
+        Some("cancelled"),
+        "{r:?}"
+    );
 
     handle.shutdown();
     let stats = handle.wait();
@@ -361,7 +401,9 @@ fn per_request_deadline_fails_typed_without_harming_the_daemon() {
     let resp = client.call(&result_req(job)).expect("result");
     assert_eq!(resp.get("state").and_then(Value::as_str), Some("failed"));
     assert_eq!(
-        resp.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        resp.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
         Some("deadline_exceeded"),
         "{resp:?}"
     );
@@ -412,7 +454,10 @@ fn unix_socket_roundtrip_drain_refusal_and_zero_thread_leak() {
         .call(&submit_req(&pts, EPS, MIN_PTS, vec![]))
         .expect("submit while draining");
     assert_eq!(
-        refused.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        refused
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
         Some("draining")
     );
 
@@ -424,7 +469,10 @@ fn unix_socket_roundtrip_drain_refusal_and_zero_thread_leak() {
     let stats = handle.wait();
     assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(1));
     assert_daemon_threads_gone();
-    assert!(!sock.exists(), "unix socket file should be unlinked on shutdown");
+    assert!(
+        !sock.exists(),
+        "unix socket file should be unlinked on shutdown"
+    );
 }
 
 #[test]
@@ -437,7 +485,10 @@ fn invalid_requests_get_typed_errors() {
         .call(&submit_req(&pts, -1.0, MIN_PTS, vec![]))
         .expect("bad eps");
     assert_eq!(
-        bad_eps.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        bad_eps
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
         Some("invalid_params")
     );
     let bad_rho = client
@@ -452,7 +503,10 @@ fn invalid_requests_get_typed_errors() {
         ))
         .expect("bad rho");
     assert_eq!(
-        bad_rho.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        bad_rho
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
         Some("invalid_rho")
     );
     let unknown = client
@@ -462,12 +516,18 @@ fn invalid_requests_get_typed_errors() {
         ]))
         .expect("unknown job");
     assert_eq!(
-        unknown.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        unknown
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
         Some("unknown_job")
     );
     let garbage = client.call(&verb("frobnicate")).expect("unknown verb");
     assert_eq!(
-        garbage.get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        garbage
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
         Some("bad_request")
     );
 

@@ -31,7 +31,11 @@ fn tcp_server(tweak: impl FnOnce(&mut ServerConfig)) -> (dbscan_server::ServerHa
 
 fn submit_ok(client: &mut Client, req: &Value) -> u64 {
     let resp = client.call(req).expect("submit call");
-    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{resp:?}");
+    assert_eq!(
+        resp.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{resp:?}"
+    );
     resp.get("job").and_then(Value::as_u64).expect("job id")
 }
 
@@ -131,16 +135,30 @@ fn traced_chrome_submit_matches_standalone_phase_spans() {
     let (handle, mut client) = tcp_server(|_| {});
     let job = submit_ok(
         &mut client,
-        &submit_req(&pts, EPS, MIN_PTS, vec![("trace", Value::Str("chrome".into()))]),
+        &submit_req(
+            &pts,
+            EPS,
+            MIN_PTS,
+            vec![("trace", Value::Str("chrome".into()))],
+        ),
     );
     let resp = client.call(&result_req(job)).expect("result");
     assert_eq!(resp.get("state").and_then(Value::as_str), Some("done"));
-    assert_eq!(resp.get("trace_format").and_then(Value::as_str), Some("chrome"));
-    assert_eq!(resp.get("trace_truncated").and_then(Value::as_bool), Some(false));
+    assert_eq!(
+        resp.get("trace_format").and_then(Value::as_str),
+        Some("chrome")
+    );
+    assert_eq!(
+        resp.get("trace_truncated").and_then(Value::as_bool),
+        Some(false)
+    );
     assert_eq!(resp.get("events_dropped").and_then(Value::as_u64), Some(0));
     assert_eq!(labels_of(&resp).len(), pts.len());
 
-    let raw = resp.get("trace").and_then(Value::as_str).expect("inline trace");
+    let raw = resp
+        .get("trace")
+        .and_then(Value::as_str)
+        .expect("inline trace");
     let trace = parse(raw).expect("served trace must be valid JSON");
     let served = chrome_phase_names(&trace);
 
@@ -155,7 +173,10 @@ fn traced_chrome_submit_matches_standalone_phase_spans() {
         .filter(|ev| ev.name.as_phase().is_some())
         .map(|ev| ev.name.label().to_string())
         .collect();
-    assert_eq!(served, standalone, "served trace phases diverge from standalone run");
+    assert_eq!(
+        served, standalone,
+        "served trace phases diverge from standalone run"
+    );
     assert!(served.contains("grid_build") && served.contains("edge_tests"));
 
     handle.shutdown();
@@ -169,13 +190,25 @@ fn tiny_trace_budget_truncates_but_stays_valid_json() {
     let (handle, mut client) = tcp_server(|cfg| cfg.trace_max_bytes = 700);
     let job = submit_ok(
         &mut client,
-        &submit_req(&pts, EPS, MIN_PTS, vec![("trace", Value::Str("chrome".into()))]),
+        &submit_req(
+            &pts,
+            EPS,
+            MIN_PTS,
+            vec![("trace", Value::Str("chrome".into()))],
+        ),
     );
     let resp = client.call(&result_req(job)).expect("result");
     assert_eq!(resp.get("state").and_then(Value::as_str), Some("done"));
-    assert_eq!(resp.get("trace_truncated").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        resp.get("trace_truncated").and_then(Value::as_bool),
+        Some(true)
+    );
     let raw = resp.get("trace").and_then(Value::as_str).expect("trace");
-    assert!(raw.len() <= 700, "capped trace overran its budget: {} bytes", raw.len());
+    assert!(
+        raw.len() <= 700,
+        "capped trace overran its budget: {} bytes",
+        raw.len()
+    );
     let trace = parse(raw).expect("capped trace must still be valid JSON");
     // The truncation is surfaced inside the trace itself too.
     let omitted = trace
@@ -183,7 +216,10 @@ fn tiny_trace_budget_truncates_but_stays_valid_json() {
         .unwrap()
         .iter()
         .any(|ev| ev.get("name").and_then(Value::as_str) == Some("events_omitted"));
-    assert!(omitted, "capped trace should carry an events_omitted marker");
+    assert!(
+        omitted,
+        "capped trace should carry an events_omitted marker"
+    );
 
     handle.shutdown();
     handle.wait();
@@ -196,11 +232,19 @@ fn folded_trace_capture_returns_flamegraph_lines() {
     let (handle, mut client) = tcp_server(|_| {});
     let job = submit_ok(
         &mut client,
-        &submit_req(&pts, EPS, MIN_PTS, vec![("trace", Value::Str("folded".into()))]),
+        &submit_req(
+            &pts,
+            EPS,
+            MIN_PTS,
+            vec![("trace", Value::Str("folded".into()))],
+        ),
     );
     let resp = client.call(&result_req(job)).expect("result");
     assert_eq!(resp.get("state").and_then(Value::as_str), Some("done"));
-    assert_eq!(resp.get("trace_format").and_then(Value::as_str), Some("folded"));
+    assert_eq!(
+        resp.get("trace_format").and_then(Value::as_str),
+        Some("folded")
+    );
     let raw = resp.get("trace").and_then(Value::as_str).expect("trace");
     assert!(!raw.trim().is_empty(), "folded trace should not be empty");
     for line in raw.lines() {
@@ -219,7 +263,12 @@ fn bad_trace_format_is_rejected_at_submit() {
     let pts = blob_points(50, 0xbad);
     let (handle, mut client) = tcp_server(|_| {});
     let resp = client
-        .call(&submit_req(&pts, EPS, MIN_PTS, vec![("trace", Value::Str("svg".into()))]))
+        .call(&submit_req(
+            &pts,
+            EPS,
+            MIN_PTS,
+            vec![("trace", Value::Str("svg".into()))],
+        ))
         .expect("call");
     assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false));
     handle.shutdown();
@@ -242,10 +291,18 @@ fn timeseries_ring_fills_and_rolls() {
     let resp = loop {
         let resp = client.call(&verb("timeseries")).expect("timeseries verb");
         assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
-        if resp.get("total_samples").and_then(Value::as_u64).unwrap_or(0) > 5 {
+        if resp
+            .get("total_samples")
+            .and_then(Value::as_u64)
+            .unwrap_or(0)
+            > 5
+        {
             break resp;
         }
-        assert!(t0.elapsed() < Duration::from_secs(5), "sampler never filled the ring");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "sampler never filled the ring"
+        );
         std::thread::sleep(Duration::from_millis(20));
     };
     assert_eq!(
@@ -254,17 +311,30 @@ fn timeseries_ring_fills_and_rolls() {
     );
     assert_eq!(resp.get("interval_ms").and_then(Value::as_u64), Some(20));
     assert_eq!(resp.get("capacity").and_then(Value::as_u64), Some(5));
-    let samples = resp.get("samples").and_then(Value::as_arr).expect("samples");
-    assert_eq!(samples.len(), 5, "ring past capacity holds exactly `capacity` samples");
+    let samples = resp
+        .get("samples")
+        .and_then(Value::as_arr)
+        .expect("samples");
+    assert_eq!(
+        samples.len(),
+        5,
+        "ring past capacity holds exactly `capacity` samples"
+    );
     // Rotation keeps chronological order, and the counters are cumulative.
     let uptimes: Vec<u64> = samples
         .iter()
         .map(|s| s.get("uptime_ms").and_then(Value::as_u64).unwrap())
         .collect();
-    assert!(uptimes.windows(2).all(|w| w[0] <= w[1]), "samples out of order: {uptimes:?}");
+    assert!(
+        uptimes.windows(2).all(|w| w[0] <= w[1]),
+        "samples out of order: {uptimes:?}"
+    );
     let last = samples.last().unwrap();
     assert_eq!(last.get("completed").and_then(Value::as_u64), Some(1));
-    assert!(last.get("throughput_per_s").and_then(Value::as_f64).is_some());
+    assert!(last
+        .get("throughput_per_s")
+        .and_then(Value::as_f64)
+        .is_some());
 
     handle.shutdown();
     handle.wait();
@@ -297,9 +367,20 @@ fn log_file_records_lifecycle_events() {
         let rec = parse(line).expect("every log line is one JSON object");
         assert!(rec.get("ts_ms").and_then(Value::as_u64).is_some());
         assert!(rec.get("level").and_then(Value::as_str).is_some());
-        events.push(rec.get("event").and_then(Value::as_str).unwrap().to_string());
+        events.push(
+            rec.get("event")
+                .and_then(Value::as_str)
+                .unwrap()
+                .to_string(),
+        );
     }
-    for expected in ["server_start", "job_submitted", "job_done", "server_drain", "server_exit"] {
+    for expected in [
+        "server_start",
+        "job_submitted",
+        "job_done",
+        "server_drain",
+        "server_exit",
+    ] {
         assert!(
             events.iter().any(|e| e == expected),
             "log should carry a {expected} event; got {events:?}"
