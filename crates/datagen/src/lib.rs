@@ -6,9 +6,13 @@
 //! * [`realworld`] — synthetic stand-ins for the paper's three real datasets
 //!   (PAMAP2, Farm, Household), matching their dimensionality and structural
 //!   character (see DESIGN.md for the substitution rationale);
+//! * [`hard`] — a blob and a shell at radius ε(1 + ρ/2) around it, whose
+//!   blob–shell pairs all sit in the ρ-approximate slack band (the
+//!   exact-vs-approximate gap of Section 3.1);
 //! * [`io`] — plain CSV reading/writing for points, so generated datasets can be
 //!   persisted and plotted externally.
 
+pub mod hard;
 pub mod io;
 pub mod randutil;
 pub mod realworld;
