@@ -6,9 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbscan_bench::config::{DEFAULT_EPS, DEFAULT_RHO};
 use dbscan_bench::datasets::spreader_points;
+use dbscan_bench::{approx, run_on, EXACT};
 use dbscan_core::algorithms::{grid_exact, rho_approx};
-use dbscan_core::parallel::{grid_exact_par, rho_approx_par};
-use dbscan_core::DbscanParams;
+use dbscan_core::{DbscanParams, NoStats};
 use std::hint::black_box;
 
 fn bench_parallel(c: &mut Criterion) {
@@ -22,7 +22,7 @@ fn bench_parallel(c: &mut Criterion) {
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| black_box(grid_exact_par(&pts, params, Some(t))))
+            b.iter(|| black_box(run_on(&pts, EXACT, params, Some(t), &NoStats)))
         });
     }
     group.finish();
@@ -34,7 +34,7 @@ fn bench_parallel(c: &mut Criterion) {
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| black_box(rho_approx_par(&pts, params, DEFAULT_RHO, Some(t))))
+            b.iter(|| black_box(run_on(&pts, approx(DEFAULT_RHO), params, Some(t), &NoStats)))
         });
     }
     group.finish();

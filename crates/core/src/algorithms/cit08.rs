@@ -17,6 +17,8 @@
 //! Border points keep the union of their local assignments, reproducing the
 //! multi-assignment semantics of Definition 3.
 
+use super::kdd96::kdd96_flood;
+use super::{cluster, Algorithm, Spec};
 use crate::deadline::{RunCtl, StageId};
 use crate::error::DbscanError;
 use crate::stats::{Counter, NoStats, Phase, StatsSink};
@@ -26,7 +28,7 @@ use dbscan_geom::{CellCoord, FastHashMap, Point};
 use dbscan_index::KdTree;
 
 /// Tuning knobs for CIT08.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Cit08Config {
     /// Partition side as a multiple of ε. Must be at least 2 so a point can
     /// never sit in the halo of both opposite neighbors along one dimension;
@@ -42,75 +44,35 @@ impl Default for Cit08Config {
     }
 }
 
-/// Exact DBSCAN via grid partitioning + per-partition KDD'96 + merge.
+/// Exact DBSCAN via grid partitioning + per-partition KDD'96 + merge: a
+/// [`cluster`] run of [`Algorithm::Cit08`]; panics where [`cluster`] returns
+/// an error.
 pub fn cit08<const D: usize>(
     points: &[Point<D>],
     params: DbscanParams,
     config: Cit08Config,
 ) -> Clustering {
-    cit08_instrumented(points, params, config, &NoStats)
+    let spec = Spec::new(Algorithm::Cit08(config), params);
+    cluster(points, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible twin of [`cit08`]: returns a typed [`DbscanError`] for non-finite
-/// coordinates or unrepresentable partition indices instead of panicking.
-pub fn try_cit08<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    config: Cit08Config,
-) -> Result<Clustering, DbscanError> {
-    try_cit08_instrumented(points, params, config, &NoStats)
-}
-
-/// [`cit08`] with an observability sink (see [`crate::stats`]).
+/// The CIT08 algorithm under `ctl`. Partition coordinates are validated up
+/// front (at the coarse side `L`), so the unchecked per-point bucketing below
+/// can never wrap.
 ///
 /// Phase mapping: the coarse partition + halo pass is [`Phase::GridBuild`];
 /// per-partition kd-tree builds are [`Phase::StructureBuild`]; the local
 /// KDD'96 runs record their own flood / border phases and region-query
 /// counters through the shared sink; the cross-partition merge is
 /// [`Phase::UnionFind`]; the final global assignment is [`Phase::BorderAssign`].
-/// With [`NoStats`] every recording site compiles away.
-pub fn cit08_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    config: Cit08Config,
-    stats: &S,
-) -> Clustering {
-    try_cit08_instrumented(points, params, config, stats).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`cit08_instrumented`]; the infallible entry points
-/// delegate here. Partition coordinates are validated up front (at the coarse
-/// side `L`), so the unchecked per-point bucketing below can never wrap.
-pub fn try_cit08_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    config: Cit08Config,
-    stats: &S,
-) -> Result<Clustering, DbscanError> {
-    cit08_ctl(points, params, config, stats, &RunCtl::unlimited())
-}
-
-/// Cancellation-aware entry point taking an externally owned [`RunCtl`], so a
-/// host (e.g. the service daemon) can interrupt the run mid-flight; a budget
-/// run builds the control block with [`RunCtl::new`] and reads the
-/// [`DeadlineReport`](crate::DeadlineReport) via [`RunCtl::report`]. The
-/// budget checkpoints once per partition (the unit of local clustering); an
-/// already-running local KDD'96 pass finishes its partition before the expiry
-/// is observed, so cancellation latency is bounded by the largest single
-/// partition. CIT08 has no approximate edge phase, so `degrade` behaves like
-/// `partial`: partitions not reached come back as noise, and everything
-/// already merged stays exact.
-pub fn try_cit08_ctl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    config: Cit08Config,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    cit08_ctl(points, params, config, stats, ctl)
-}
-
-fn cit08_ctl<const D: usize, S: StatsSink>(
+///
+/// The budget checkpoints once per partition (the unit of local clustering);
+/// an already-running local KDD'96 pass finishes its partition before the
+/// expiry is observed, so cancellation latency is bounded by the largest
+/// single partition. CIT08 has no approximate edge phase, so `degrade`
+/// behaves like `partial`: partitions not reached come back as noise, and
+/// everything already merged stays exact.
+pub(crate) fn cit08_run<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
     config: Cit08Config,
@@ -199,7 +161,7 @@ fn cit08_ctl<const D: usize, S: StatsSink>(
         let local_pts: Vec<Point<D>> = subset.iter().map(|&i| points[i as usize]).collect();
         let tree = stats.time(Phase::StructureBuild, || KdTree::build(&local_pts));
         stats.bump(Counter::KdTreeBuilds);
-        let local = super::kdd96::kdd96_impl(&local_pts, params, &tree, stats);
+        let local = kdd96_flood(&local_pts, params, &tree, stats, &RunCtl::unlimited())?;
 
         let base = total_clusters;
         total_clusters += local.num_clusters as u32;

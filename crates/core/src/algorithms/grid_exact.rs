@@ -6,10 +6,11 @@
 //! Clusters are the connected components of `G` (Lemma 1); border points are
 //! assigned afterwards.
 
+use super::{cluster, Algorithm, Spec};
 use crate::bcp;
 use crate::cells::CoreCells;
 use crate::deadline::RunCtl;
-use crate::error::{DbscanError, ResourceLimits};
+use crate::error::DbscanError;
 use crate::parallel::{run_grid, Graph, ParConfig};
 use crate::stats::{Counter, NoStats, StatsSink};
 use crate::types::{Clustering, DbscanParams};
@@ -17,7 +18,9 @@ use crate::unionfind::UnionFind;
 use dbscan_geom::Point;
 use dbscan_index::KdTree;
 
-/// Exact DBSCAN via grid + BCP (the paper's Theorem 2 algorithm).
+/// Exact DBSCAN via grid + BCP (the paper's Theorem 2 algorithm): a
+/// sequential [`cluster`] run of [`Algorithm::Exact`] with the default
+/// [`BcpStrategy`]; panics where [`cluster`] returns an error.
 ///
 /// The theoretical BCP routine of Agarwal et al. is replaced by an early-exit
 /// predicate: small cell pairs use a brute-force scan, large ones probe a
@@ -37,7 +40,8 @@ use dbscan_index::KdTree;
 /// assert!(c.assignments[3].is_noise());
 /// ```
 pub fn grid_exact<const D: usize>(points: &[Point<D>], params: DbscanParams) -> Clustering {
-    grid_exact_with(points, params, BcpStrategy::TreeAssisted)
+    let spec = Spec::new(Algorithm::Exact(BcpStrategy::TreeAssisted), params);
+    cluster(points, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// How the BCP edge predicate between two core cells is evaluated.
@@ -65,17 +69,9 @@ pub enum BcpStrategy {
     FullBruteBcp,
 }
 
-/// [`grid_exact`] with an explicit [`BcpStrategy`]. Both strategies return the
-/// identical (unique) clustering; only the running time differs.
-pub fn grid_exact_with<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    strategy: BcpStrategy,
-) -> Clustering {
-    grid_exact_instrumented(points, params, strategy, &NoStats)
-}
-
-/// [`grid_exact_with`] with an observability sink (see [`crate::stats`]).
+/// [`grid_exact`] with an explicit [`BcpStrategy`] and an observability sink
+/// (see [`crate::stats`]). Every strategy returns the identical (unique)
+/// clustering; only the running time differs.
 ///
 /// Records per-phase wall times plus the edge-test decision counters: how many
 /// candidate pairs went through early-exit brute force, tree probing (with
@@ -87,101 +83,8 @@ pub fn grid_exact_instrumented<const D: usize, S: StatsSink>(
     strategy: BcpStrategy,
     stats: &S,
 ) -> Clustering {
-    try_grid_exact_instrumented(points, params, strategy, &ResourceLimits::UNLIMITED, stats)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`grid_exact`]: returns a typed [`DbscanError`] for
-/// non-finite coordinates or unrepresentable cell indices instead of
-/// panicking.
-pub fn try_grid_exact<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-) -> Result<Clustering, DbscanError> {
-    try_grid_exact_with(points, params, BcpStrategy::TreeAssisted)
-}
-
-/// Fallible twin of [`grid_exact_with`].
-pub fn try_grid_exact_with<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    strategy: BcpStrategy,
-) -> Result<Clustering, DbscanError> {
-    try_grid_exact_instrumented(
-        points,
-        params,
-        strategy,
-        &ResourceLimits::UNLIMITED,
-        &NoStats,
-    )
-}
-
-/// Fallible twin of [`grid_exact_instrumented`]: validates the input and
-/// enforces `limits`' index-build byte budget, returning a typed
-/// [`DbscanError`] instead of panicking. The infallible entry points all
-/// delegate here.
-pub fn try_grid_exact_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    strategy: BcpStrategy,
-    limits: &ResourceLimits,
-    stats: &S,
-) -> Result<Clustering, DbscanError> {
-    try_grid_exact_ctl(
-        points,
-        params,
-        strategy,
-        limits,
-        stats,
-        &RunCtl::unlimited(),
-    )
-}
-
-/// Job-boundary twin of [`try_grid_exact_instrumented`] that runs under a
-/// caller-owned [`RunCtl`], so long-lived front ends (the CLI's signal
-/// handling, the server's `cancel` verb) can trip the run externally, and a
-/// budget run (a control block from [`RunCtl::new`]) can read the
-/// [`DeadlineReport`](crate::DeadlineReport) via [`RunCtl::report`]
-/// afterwards. Under `degrade` the edge tests that run after the budget
-/// expires switch to the ρ-approximate edge oracle at `degrade_rho` (see the
-/// module docs of [`crate::deadline`] for why the mixed result is still a
-/// valid ρ′-approximate clustering).
-pub fn try_grid_exact_ctl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    strategy: BcpStrategy,
-    limits: &ResourceLimits,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    let config = ParConfig::sequential(limits);
-    grid_exact_run(points, params, None, strategy, &config, stats, ctl)
-}
-
-/// Runs the edge and assembly phases over a *prebuilt* [`CoreCells`] on
-/// `config`'s pool — the cache fast path of the service tier: a repeat query
-/// over the same `(dataset, eps, min_pts)` skips the grid build and labeling
-/// entirely and lands on the identical clustering (the cells fully determine
-/// it). The cells must have been built over exactly `points`; a length
-/// mismatch is refused with [`DbscanError::IndexSizeMismatch`].
-/// `config.deadline` is ignored (`ctl` carries the budget).
-pub fn try_grid_exact_from_cells_ctl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    cells: &CoreCells<D>,
-    strategy: BcpStrategy,
-    config: &ParConfig,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    grid_exact_run(
-        points,
-        cells.params,
-        Some(cells),
-        strategy,
-        config,
-        stats,
-        ctl,
-    )
+    let spec = Spec::new(Algorithm::Exact(strategy), params);
+    cluster(points, None, &spec, stats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The exact algorithm on the grid pipeline (see [`run_grid`]), building
@@ -385,17 +288,9 @@ mod tests {
         for strategy in strategies {
             for threads in [1, 2, 4] {
                 let stats = Stats::new();
-                let config = ParConfig::with_threads(Some(threads));
-                let got = grid_exact_run(
-                    &pts,
-                    p,
-                    None,
-                    strategy,
-                    &config,
-                    &stats,
-                    &RunCtl::unlimited(),
-                )
-                .unwrap();
+                let mut spec = Spec::new(Algorithm::Exact(strategy), p);
+                spec.exec.threads = Some(threads);
+                let got = cluster(&pts, None, &spec, &stats, &RunCtl::unlimited()).unwrap();
                 let what = format!("{strategy:?} threads={threads}");
                 assert_eq!(got.assignments, reference.assignments, "{what}");
                 assert_eq!(got.num_clusters, reference.num_clusters, "{what}");

@@ -9,85 +9,46 @@
 //! NN queries with a per-cell Voronoi diagram; we use a per-cell kd-tree, which
 //! has the same O(log n) practical query bound in 2D (see DESIGN.md).
 
+use super::{cluster, Algorithm, Spec};
 use crate::cells::CoreCells;
 use crate::deadline::RunCtl;
-use crate::error::{DbscanError, ResourceLimits};
+use crate::error::DbscanError;
 use crate::parallel::{run_grid, ParConfig};
 use crate::stats::{Counter, NoStats, Phase, StatsSink};
 use crate::types::{Clustering, DbscanParams};
 use dbscan_geom::Point;
 use dbscan_index::KdTree;
 
-/// Exact 2D DBSCAN following Gunawan \[11\].
+/// Exact 2D DBSCAN following Gunawan \[11\]: a sequential [`cluster`] run
+/// of [`Algorithm::Gunawan2d`]; panics where [`cluster`] returns an error.
 pub fn gunawan_2d(points: &[Point<2>], params: DbscanParams) -> Clustering {
-    gunawan_2d_instrumented(points, params, &NoStats)
+    let spec = Spec::new(Algorithm::Gunawan2d, params);
+    cluster(points, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible twin of [`gunawan_2d`]: returns a typed [`DbscanError`] for
-/// non-finite coordinates or unrepresentable cell indices instead of
-/// panicking.
-pub fn try_gunawan_2d(
-    points: &[Point<2>],
-    params: DbscanParams,
-) -> Result<Clustering, DbscanError> {
-    try_gunawan_2d_instrumented(points, params, &ResourceLimits::UNLIMITED, &NoStats)
-}
-
-/// [`gunawan_2d`] with an observability sink (see [`crate::stats`]).
+/// Gunawan's algorithm on the grid pipeline (see [`run_grid`]), building the
+/// core cells unless `prebuilt` is given. The edge oracle is written for any
+/// `D`; [`cluster`] admits only `D = 2`, the algorithm of \[11\].
 ///
 /// The eager per-cell NN-structure builds are timed as
-/// [`Phase::StructureBuild`]; every edge test is a tree-probe decision. With
-/// [`NoStats`] every recording site compiles away.
-pub fn gunawan_2d_instrumented<S: StatsSink>(
-    points: &[Point<2>],
+/// [`Phase::StructureBuild`]; every edge test is a tree-probe decision.
+pub(crate) fn gunawan_run<const D: usize, S: StatsSink>(
+    points: &[Point<D>],
     params: DbscanParams,
-    stats: &S,
-) -> Clustering {
-    try_gunawan_2d_instrumented(points, params, &ResourceLimits::UNLIMITED, stats)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`gunawan_2d_instrumented`]; the infallible entry points
-/// delegate here.
-pub fn try_gunawan_2d_instrumented<S: StatsSink>(
-    points: &[Point<2>],
-    params: DbscanParams,
-    limits: &ResourceLimits,
-    stats: &S,
-) -> Result<Clustering, DbscanError> {
-    try_gunawan_2d_ctl(points, params, limits, stats, &RunCtl::unlimited())
-}
-
-/// Cancellation-aware entry point taking an externally owned [`RunCtl`], so a
-/// host (e.g. the service daemon) can interrupt the run mid-flight; see
-/// [`crate::algorithms::try_grid_exact_ctl`].
-pub fn try_gunawan_2d_ctl<S: StatsSink>(
-    points: &[Point<2>],
-    params: DbscanParams,
-    limits: &ResourceLimits,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    gunawan_2d_run(points, params, &ParConfig::sequential(limits), stats, ctl)
-}
-
-/// Gunawan's algorithm on the grid pipeline (see [`run_grid`]).
-fn gunawan_2d_run<S: StatsSink>(
-    points: &[Point<2>],
-    params: DbscanParams,
+    prebuilt: Option<&CoreCells<D>>,
     config: &ParConfig,
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
     let eps = params.eps();
-    run_grid(points, params, None, config, stats, ctl, |g| {
-        let cc: &CoreCells<2> = g.cc;
+    run_grid(points, params, prebuilt, config, stats, ctl, |g| {
+        let cc: &CoreCells<D> = g.cc;
         // One NN structure per core cell, built eagerly like the Voronoi
         // diagrams of \[11\] (each is built exactly once, over that cell's
         // core points). The eager build is not checkpointed: it is a bounded
         // O(n log n) pass, and under `degrade` some trees may simply go
         // unused.
-        let trees: Vec<KdTree<2>> = stats.time(Phase::StructureBuild, || {
+        let trees: Vec<KdTree<D>> = stats.time(Phase::StructureBuild, || {
             cc.core_points_of
                 .iter()
                 .map(|ids| {
@@ -160,9 +121,9 @@ mod tests {
                 assert_eq!(a.num_clusters, b.num_clusters, "seed={seed} eps={eps}");
                 assert_eq!(a.assignments, b.assignments, "seed={seed} eps={eps}");
                 for threads in [1, 4] {
-                    let config = ParConfig::with_threads(Some(threads));
-                    let c =
-                        gunawan_2d_run(&pts, p, &config, &NoStats, &RunCtl::unlimited()).unwrap();
+                    let mut spec = Spec::new(Algorithm::Gunawan2d, p);
+                    spec.exec.threads = Some(threads);
+                    let c = cluster(&pts, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap();
                     assert_eq!(
                         c.assignments, b.assignments,
                         "seed={seed} eps={eps} threads={threads}"

@@ -4,14 +4,15 @@
 //! paper claimed O(n log n) time; as Section 1.1 of *DBSCAN Revisited* explains,
 //! the true worst case is O(n²) *regardless of the index*, because the n region
 //! queries can return Θ(n) points each (footnote 1). The index is therefore a
-//! pluggable [`RangeIndex`]; the paper's implementation used an R*-tree, for
-//! which our STR R-tree substitutes.
+//! choice ([`Kdd96Index`]: kd-tree, R-tree, or none); the paper's
+//! implementation used an R*-tree, for which our STR R-tree substitutes.
 //!
 //! After the classic pass (which, like the original, hands each border point to
 //! the first cluster that reaches it), a post-pass re-queries the border points
 //! to produce the full multi-assignment semantics of Definition 3, so results
 //! are directly comparable with the grid algorithms'.
 
+use super::{cluster, Algorithm, Kdd96Index, Spec};
 use crate::deadline::{RunCtl, StageId};
 use crate::error::DbscanError;
 use crate::stats::{Counter, NoStats, Phase, StatsSink};
@@ -23,82 +24,67 @@ use std::collections::VecDeque;
 const UNCLASSIFIED: u32 = u32::MAX;
 const NOISE: u32 = u32::MAX - 1;
 
-/// KDD'96 DBSCAN over any range index.
-pub fn kdd96<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    index: &impl RangeIndex<D>,
-) -> Clustering {
-    kdd96_instrumented(points, params, index, &NoStats)
+/// KDD'96 over a kd-tree built on the fly: a [`cluster`] run of
+/// [`Algorithm::Kdd96`]; panics where [`cluster`] returns an error.
+pub fn kdd96_kdtree<const D: usize>(points: &[Point<D>], params: DbscanParams) -> Clustering {
+    let spec = Spec::new(Algorithm::Kdd96(Kdd96Index::KdTree), params);
+    cluster(points, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible twin of [`kdd96`]: returns a typed [`DbscanError`] for non-finite
-/// coordinates or an index that does not cover the point set, instead of
-/// panicking.
-pub fn try_kdd96<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    index: &impl RangeIndex<D>,
-) -> Result<Clustering, DbscanError> {
-    try_kdd96_instrumented(points, params, index, &NoStats)
+/// KDD'96 over an STR R-tree built on the fly (closest to the original
+/// setup); see [`kdd96_kdtree`].
+pub fn kdd96_rtree<const D: usize>(points: &[Point<D>], params: DbscanParams) -> Clustering {
+    let spec = Spec::new(Algorithm::Kdd96(Kdd96Index::RTree), params);
+    cluster(points, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`kdd96`] with an observability sink (see [`crate::stats`]).
+/// KDD'96 with no index at all — the O(n²) straw man; see [`kdd96_kdtree`].
+pub fn kdd96_linear<const D: usize>(points: &[Point<D>], params: DbscanParams) -> Clustering {
+    let spec = Spec::new(Algorithm::Kdd96(Kdd96Index::Linear), params);
+    cluster(points, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// KDD'96 over a freshly built `index`: validates the points, builds the
+/// index (timed as [`Phase::StructureBuild`]; a kd-tree also counts one
+/// [`Counter::KdTreeBuilds`]), and runs [`kdd96_flood`] under `ctl`.
 ///
-/// Phase mapping (the grid template's phases, reinterpreted — see the table in
-/// EXPERIMENTS.md): the seed-expansion flood is [`Phase::Labeling`] (its region
-/// queries are what decide core status), the border multi-assignment post-pass
-/// is [`Phase::BorderAssign`]. Counters: one [`Counter::RangeQueries`] per
-/// region query, [`Counter::RangePointsReturned`] totals their result sizes
-/// (the Θ(n²) witness of footnote 1), [`Counter::IndexNodesVisited`] the
-/// index traversal work. Index builds are timed by the `kdd96_*_instrumented`
-/// wrappers, not here. With [`NoStats`] every recording site compiles away.
-pub fn kdd96_instrumented<const D: usize, S: StatsSink>(
+/// Phase mapping (the grid template's phases, reinterpreted — see the table
+/// in EXPERIMENTS.md): the seed-expansion flood is [`Phase::Labeling`] (its
+/// region queries are what decide core status), the border multi-assignment
+/// post-pass is [`Phase::BorderAssign`]. Counters: one
+/// [`Counter::RangeQueries`] per region query,
+/// [`Counter::RangePointsReturned`] totals their result sizes (the Θ(n²)
+/// witness of footnote 1), [`Counter::IndexNodesVisited`] the index
+/// traversal work.
+pub(crate) fn kdd96_run<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
-    index: &impl RangeIndex<D>,
+    index: Kdd96Index,
     stats: &S,
-) -> Clustering {
-    try_kdd96_instrumented(points, params, index, stats).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`kdd96_instrumented`]; the infallible entry points
-/// delegate here.
-pub fn try_kdd96_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    index: &impl RangeIndex<D>,
-    stats: &S,
+    ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
+    crate::validate::check_points_finite(points)?;
     let total = stats.now();
-    let out = try_kdd96_impl(points, params, index, stats)?;
+    let out = match index {
+        Kdd96Index::KdTree => {
+            let tree = stats.time(Phase::StructureBuild, || KdTree::build(points));
+            stats.bump(Counter::KdTreeBuilds);
+            kdd96_flood(points, params, &tree, stats, ctl)
+        }
+        Kdd96Index::RTree => {
+            let tree = stats.time(Phase::StructureBuild, || RTree::build(points));
+            kdd96_flood(points, params, &tree, stats, ctl)
+        }
+        Kdd96Index::Linear => kdd96_flood(points, params, &LinearScan::new(points), stats, ctl),
+    }?;
     stats.finish(Phase::Total, total);
     Ok(out)
 }
 
-/// The body of [`kdd96_instrumented`] without the [`Phase::Total`] span, so
-/// callers that embed KDD'96 as a sub-step (the index-building wrappers below,
-/// CIT08's per-partition runs) can record one enclosing total themselves.
-pub(crate) fn kdd96_impl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    index: &impl RangeIndex<D>,
-    stats: &S,
-) -> Clustering {
-    try_kdd96_impl(points, params, index, stats).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`kdd96_impl`] (no [`Phase::Total`] span of its own).
-pub(crate) fn try_kdd96_impl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    index: &impl RangeIndex<D>,
-    stats: &S,
-) -> Result<Clustering, DbscanError> {
-    try_kdd96_impl_ctl(points, params, index, stats, &RunCtl::unlimited())
-}
-
-/// Deadline-aware body of the KDD'96 algorithm. The seed-expansion flood has
+/// The KDD'96 algorithm over a built `index` covering exactly `points`, with
+/// no [`Phase::Total`] span of its own, so callers that embed it as a
+/// sub-step (CIT08's per-partition runs) can record one enclosing total
+/// themselves. The seed-expansion flood has
 /// no approximate fallback (there is no edge phase to switch to Lemma 5
 /// counting), so the budget checkpoints — one per outer point and one per
 /// dequeued seed — use [`RunCtl::should_stop_no_degrade`]: under `degrade`
@@ -106,20 +92,13 @@ pub(crate) fn try_kdd96_impl<const D: usize, S: StatsSink>(
 /// already decided stay (each was established by a completed region query);
 /// still-`UNCLASSIFIED` points and labeled-but-unverified border candidates
 /// come back as noise — never a wrong cluster.
-pub(crate) fn try_kdd96_impl_ctl<const D: usize, S: StatsSink>(
+pub(crate) fn kdd96_flood<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
     index: &impl RangeIndex<D>,
     stats: &S,
     ctl: &RunCtl,
 ) -> Result<Clustering, DbscanError> {
-    crate::validate::check_points_finite(points)?;
-    if index.len() != points.len() {
-        return Err(DbscanError::IndexSizeMismatch {
-            index_len: index.len(),
-            points_len: points.len(),
-        });
-    }
     let n = points.len();
     let eps = params.eps();
     let min_pts = params.min_pts();
@@ -270,128 +249,6 @@ pub(crate) fn try_kdd96_impl_ctl<const D: usize, S: StatsSink>(
         assignments,
         num_clusters: num_clusters as usize,
     })
-}
-
-/// KDD'96 over a kd-tree built on the fly.
-pub fn kdd96_kdtree<const D: usize>(points: &[Point<D>], params: DbscanParams) -> Clustering {
-    kdd96_kdtree_instrumented(points, params, &NoStats)
-}
-
-/// Fallible twin of [`kdd96_kdtree`].
-pub fn try_kdd96_kdtree<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-) -> Result<Clustering, DbscanError> {
-    try_kdd96_kdtree_instrumented(points, params, &NoStats)
-}
-
-/// [`kdd96_kdtree`] with an observability sink; the index build is timed as
-/// [`Phase::StructureBuild`].
-pub fn kdd96_kdtree_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    stats: &S,
-) -> Clustering {
-    try_kdd96_kdtree_instrumented(points, params, stats).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`kdd96_kdtree_instrumented`]. Validates the points before
-/// building the index, so a non-finite coordinate surfaces as a typed error
-/// rather than a panic inside the kd-tree construction.
-pub fn try_kdd96_kdtree_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    stats: &S,
-) -> Result<Clustering, DbscanError> {
-    crate::validate::check_points_finite(points)?;
-    let total = stats.now();
-    let index = stats.time(Phase::StructureBuild, || KdTree::build(points));
-    stats.bump(Counter::KdTreeBuilds);
-    let out = try_kdd96_impl(points, params, &index, stats)?;
-    stats.finish(Phase::Total, total);
-    Ok(out)
-}
-
-/// Cancellation-aware kd-tree entry point taking an externally owned
-/// [`RunCtl`], so a host (e.g. the service daemon) can interrupt the run
-/// mid-flight; a budget run builds the control block with [`RunCtl::new`]
-/// and reads the [`DeadlineReport`](crate::DeadlineReport) via
-/// [`RunCtl::report`]. KDD'96 has no approximate edge phase, so `degrade`
-/// behaves like `partial` here: unreached points come back as noise.
-pub fn try_kdd96_kdtree_ctl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    crate::validate::check_points_finite(points)?;
-    let total = stats.now();
-    let index = stats.time(Phase::StructureBuild, || KdTree::build(points));
-    stats.bump(Counter::KdTreeBuilds);
-    let out = try_kdd96_impl_ctl(points, params, &index, stats, ctl)?;
-    stats.finish(Phase::Total, total);
-    Ok(out)
-}
-
-/// KDD'96 over an STR R-tree built on the fly (closest to the original setup).
-pub fn kdd96_rtree<const D: usize>(points: &[Point<D>], params: DbscanParams) -> Clustering {
-    kdd96_rtree_instrumented(points, params, &NoStats)
-}
-
-/// Fallible twin of [`kdd96_rtree`].
-pub fn try_kdd96_rtree<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-) -> Result<Clustering, DbscanError> {
-    try_kdd96_rtree_instrumented(points, params, &NoStats)
-}
-
-/// [`kdd96_rtree`] with an observability sink; the index build is timed as
-/// [`Phase::StructureBuild`].
-pub fn kdd96_rtree_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    stats: &S,
-) -> Clustering {
-    try_kdd96_rtree_instrumented(points, params, stats).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`kdd96_rtree_instrumented`]; validates points before the
-/// index build.
-pub fn try_kdd96_rtree_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    stats: &S,
-) -> Result<Clustering, DbscanError> {
-    crate::validate::check_points_finite(points)?;
-    let total = stats.now();
-    let index = stats.time(Phase::StructureBuild, || RTree::build(points));
-    let out = try_kdd96_impl(points, params, &index, stats)?;
-    stats.finish(Phase::Total, total);
-    Ok(out)
-}
-
-/// KDD'96 with no index at all — the O(n²) straw man.
-pub fn kdd96_linear<const D: usize>(points: &[Point<D>], params: DbscanParams) -> Clustering {
-    kdd96_linear_instrumented(points, params, &NoStats)
-}
-
-/// Fallible twin of [`kdd96_linear`].
-pub fn try_kdd96_linear<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-) -> Result<Clustering, DbscanError> {
-    try_kdd96_instrumented(points, params, &LinearScan::new(points), &NoStats)
-}
-
-/// [`kdd96_linear`] with an observability sink (there is no index to build, so
-/// no [`Phase::StructureBuild`] time is recorded).
-pub fn kdd96_linear_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    stats: &S,
-) -> Clustering {
-    kdd96_instrumented(points, params, &LinearScan::new(points), stats)
 }
 
 #[cfg(test)]

@@ -27,10 +27,11 @@
 //! a legal result of Problem 2 and inherits the sandwich guarantee of
 //! Theorem 3.
 
+use super::{cluster, Algorithm, Spec};
 use crate::bcp;
 use crate::cells::CoreCells;
 use crate::deadline::RunCtl;
-use crate::error::{validate_rho, DbscanError, ResourceLimits};
+use crate::error::{validate_rho, DbscanError};
 use crate::parallel::{run_grid, Graph, ParConfig};
 use crate::stats::{Counter, NoStats, Phase, StatsSink};
 use crate::types::{Clustering, DbscanParams};
@@ -39,7 +40,12 @@ use dbscan_geom::Point;
 use dbscan_index::ApproxRangeCounter;
 use std::sync::OnceLock;
 
-/// ρ-approximate DBSCAN (the paper's Theorem 4 algorithm).
+/// ρ-approximate DBSCAN (the paper's Theorem 4 algorithm): a sequential
+/// [`cluster`] run of [`Algorithm::Approx`] with the default
+/// [`ApproxOracle`]; panics where [`cluster`] returns an error (an unusable
+/// `rho`: non-positive, NaN/inf, degenerate-hierarchy small, or with
+/// `eps·(1+ρ)` overflowing; non-finite coordinates; unrepresentable cell
+/// indices).
 ///
 /// `rho` is the approximation ratio; the paper recommends (and its experiments
 /// default to) `rho = 0.001`.
@@ -61,7 +67,14 @@ pub fn rho_approx<const D: usize>(
     params: DbscanParams,
     rho: f64,
 ) -> Clustering {
-    rho_approx_instrumented(points, params, rho, &NoStats)
+    let spec = Spec::new(
+        Algorithm::Approx {
+            rho,
+            oracle: ApproxOracle::ProbeFirst,
+        },
+        params,
+    );
+    cluster(points, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// How the ρ-approximate edge rule between two core cells is evaluated.
@@ -82,26 +95,6 @@ pub enum ApproxOracle {
     CounterOnly,
 }
 
-/// [`rho_approx`] with an explicit [`ApproxOracle`].
-pub fn rho_approx_with<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    rho: f64,
-    oracle: ApproxOracle,
-) -> Clustering {
-    let config = ParConfig::sequential(&ResourceLimits::UNLIMITED);
-    rho_approx_run(
-        points,
-        params,
-        None,
-        EdgeRule { rho, oracle },
-        &config,
-        &NoStats,
-        &RunCtl::unlimited(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// [`rho_approx`] with an observability sink (see [`crate::stats`]).
 ///
 /// Records per-phase wall times plus the edge-test decision counters (pairs
@@ -116,93 +109,25 @@ pub fn rho_approx_instrumented<const D: usize, S: StatsSink>(
     rho: f64,
     stats: &S,
 ) -> Clustering {
-    try_rho_approx_instrumented(points, params, rho, &ResourceLimits::UNLIMITED, stats)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`rho_approx`]: returns a typed [`DbscanError`] for an
-/// unusable `rho` (non-positive, NaN/inf, degenerate-hierarchy small, or with
-/// `eps·(1+ρ)` overflowing), non-finite coordinates, or unrepresentable cell
-/// indices, instead of panicking.
-pub fn try_rho_approx<const D: usize>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    rho: f64,
-) -> Result<Clustering, DbscanError> {
-    try_rho_approx_instrumented(points, params, rho, &ResourceLimits::UNLIMITED, &NoStats)
-}
-
-/// Fallible twin of [`rho_approx_instrumented`]; the infallible entry points
-/// delegate here. Beyond the checks of [`validate_rho`] and the grid build,
-/// this pre-validates that every point's cell index is representable at the
-/// *deepest* level of the Lemma 5 hierarchy (where the unchecked build would
-/// silently saturate and break the sandwich guarantee), and — under `limits`
-/// — refuses runs whose worst-case aggregate counter footprint exceeds the
-/// byte budget, before building any counter.
-pub fn try_rho_approx_instrumented<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    rho: f64,
-    limits: &ResourceLimits,
-    stats: &S,
-) -> Result<Clustering, DbscanError> {
-    try_rho_approx_ctl(points, params, rho, limits, stats, &RunCtl::unlimited())
-}
-
-/// Cancellation-aware entry point taking an externally owned [`RunCtl`], so a
-/// host (e.g. the service daemon) can interrupt or degrade the run
-/// mid-flight; see [`crate::algorithms::try_grid_exact_ctl`]. Degrading an
-/// already-approximate run re-targets the remaining edge tests at the
-/// (coarser) `degrade_rho`; the combined result is a valid
-/// max(ρ, ρ′)-approximate clustering by the same Sandwich-Theorem argument.
-pub fn try_rho_approx_ctl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    params: DbscanParams,
-    rho: f64,
-    limits: &ResourceLimits,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    let config = ParConfig::sequential(limits);
-    rho_approx_run(
-        points,
+    let spec = Spec::new(
+        Algorithm::Approx {
+            rho,
+            oracle: ApproxOracle::ProbeFirst,
+        },
         params,
-        None,
-        EdgeRule::probe_first(rho),
-        &config,
-        stats,
-        ctl,
-    )
-}
-
-/// Runs the ρ-approximate algorithm on a prebuilt [`CoreCells`] structure
-/// (from [`CoreCells::try_build_ctl`] on the same `points`) on `config`'s
-/// pool, skipping the grid build and core labeling. The counters themselves
-/// are still built lazily here, so the same cached cells serve any `rho`.
-/// Returns [`DbscanError::IndexSizeMismatch`] when `cells` was built over a
-/// different number of points. `config.deadline` is ignored (`ctl` carries
-/// the budget).
-pub fn try_rho_approx_from_cells_ctl<const D: usize, S: StatsSink>(
-    points: &[Point<D>],
-    cells: &CoreCells<D>,
-    rho: f64,
-    config: &ParConfig,
-    stats: &S,
-    ctl: &RunCtl,
-) -> Result<Clustering, DbscanError> {
-    rho_approx_run(
-        points,
-        cells.params,
-        Some(cells),
-        EdgeRule::probe_first(rho),
-        config,
-        stats,
-        ctl,
-    )
+    );
+    cluster(points, None, &spec, stats, &RunCtl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The ρ-approximate algorithm on the grid pipeline (see [`run_grid`]),
-/// building the core cells unless `prebuilt` is given.
+/// building the core cells unless `prebuilt` is given (the counters are
+/// still built lazily here, so the same cells serve any `rho`). Beyond the
+/// checks of [`validate_rho`] and the grid build, this pre-validates that
+/// every point's cell index is representable at the *deepest* level of the
+/// Lemma 5 hierarchy (where the unchecked build would silently saturate and
+/// break the sandwich guarantee), and — under `config.limits` — refuses runs
+/// whose worst-case aggregate counter footprint exceeds the byte budget,
+/// before building any counter.
 pub(crate) fn rho_approx_run<const D: usize, S: StatsSink>(
     points: &[Point<D>],
     params: DbscanParams,
@@ -463,7 +388,7 @@ mod tests {
         let mut counter_decided = 0;
         for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
             let stats = Stats::new();
-            let config = ParConfig::sequential(&ResourceLimits::UNLIMITED);
+            let config = ParConfig::sequential(&crate::ResourceLimits::UNLIMITED);
             let ctl = RunCtl::unlimited();
             run_grid(pts, params(eps, 1), None, &config, &stats, &ctl, |g| {
                 let (cc, counters) = (g.cc, g.slots());
@@ -552,7 +477,8 @@ mod tests {
             let pts = clumps(150, gap, false);
             let exact = grid_exact(&pts, p);
             for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
-                let got = rho_approx_with(&pts, p, 0.001, oracle);
+                let spec = Spec::new(Algorithm::Approx { rho: 0.001, oracle }, p);
+                let got = cluster(&pts, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap();
                 assert_eq!(got.assignments, exact.assignments, "{oracle:?} gap={gap}");
             }
         }

@@ -111,8 +111,7 @@ impl<const D: usize> CoreCells<D> {
     /// allocation-and-scatter pass, not task-shaped). Under `abort` the
     /// caller converts the observed expiry to the typed error after this
     /// returns; under `partial` the unlabeled cells simply come back
-    /// non-core. `config.deadline` is ignored (`ctl` carries the budget); a
-    /// labeling panic follows `config.recovery`.
+    /// non-core. A labeling panic follows `config.recovery`.
     pub fn try_build_ctl<S: StatsSink>(
         points: &[Point<D>],
         params: DbscanParams,

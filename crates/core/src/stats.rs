@@ -7,15 +7,16 @@
 //! This module makes those phases measurable without touching the
 //! uninstrumented hot path:
 //!
-//! * [`StatsSink`] is the collection interface. Every algorithm has an
-//!   `*_instrumented` entry point generic over `S: StatsSink`; the public
-//!   uninstrumented APIs delegate with [`NoStats`], whose
+//! * [`StatsSink`] is the collection interface.
+//!   [`cluster`](crate::algorithms::cluster) is generic over
+//!   `S: StatsSink`; the uninstrumented convenience functions pass
+//!   [`NoStats`], whose
 //!   `ENABLED = false` lets the optimizer erase every recording site (the
 //!   branches are decided at monomorphization time, so the hot path stays
 //!   branch-free).
 //! * [`Stats`] is the real collector: relaxed atomic counters, so a single
-//!   instance can aggregate across the worker threads of the parallel
-//!   variants in [`crate::parallel`].
+//!   instance can aggregate across the worker threads of a parallel run on
+//!   [`crate::parallel`]'s pipeline.
 //! * [`StatsReport`] is an immutable snapshot with a stable JSON rendering
 //!   (the `dbscan-stats/v7` schema documented in EXPERIMENTS.md; v2 = v1
 //!   plus the [`Counter::TasksStolen`] / [`Counter::UfCasRetries`] scheduler
@@ -244,7 +245,7 @@ impl Counter {
     }
 }
 
-/// Collection interface threaded through the `*_instrumented` entry points.
+/// Collection interface threaded through every [`cluster`](crate::algorithms::cluster) run.
 ///
 /// `ENABLED` is an associated *const*, so with [`NoStats`] every recording
 /// site folds to nothing at monomorphization time — the uninstrumented

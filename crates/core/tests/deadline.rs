@@ -2,11 +2,11 @@
 //! (Sandwich-Theorem validity), partial-result consistency, abort hygiene,
 //! bounded cancellation latency, and the stall watchdog.
 
-use dbscan_core::algorithms::{grid_exact, try_grid_exact_ctl, BcpStrategy};
-use dbscan_core::parallel::{try_grid_exact_par_ctl, ParConfig};
+use dbscan_core::algorithms::{cluster, grid_exact, Algorithm, BcpStrategy, Spec};
+use dbscan_core::parallel::ParConfig;
 use dbscan_core::{
     Assignment, Clustering, DbscanError, DbscanParams, DeadlineConfig, DeadlineOutcome,
-    DeadlinePolicy, DeadlineReport, NoStats, RecoveryPolicy, ResourceLimits, RunCtl,
+    DeadlinePolicy, DeadlineReport, NoStats, RecoveryPolicy, ResourceLimits, RunCtl, StatsSink,
 };
 use dbscan_geom::point::p2;
 use dbscan_geom::Point;
@@ -36,34 +36,48 @@ fn deadline(budget: Duration, policy: DeadlinePolicy) -> DeadlineConfig {
     }
 }
 
+/// An exact run on `config`'s pool under `dl`, with its deadline report.
+fn exact_run<S: StatsSink>(
+    pts: &[Point<2>],
+    p: DbscanParams,
+    config: &ParConfig,
+    dl: &DeadlineConfig,
+    stats: &S,
+) -> Result<(Clustering, DeadlineReport), DbscanError> {
+    let ctl = RunCtl::new(dl);
+    let spec = Spec {
+        algorithm: Algorithm::Exact(BcpStrategy::TreeAssisted),
+        params: p,
+        exec: config.clone(),
+    };
+    cluster(pts, None, &spec, stats, &ctl).map(|c| (c, ctl.report()))
+}
+
 /// A sequential exact run under `dl`, with its deadline report.
 fn seq_run(
     pts: &[Point<2>],
     p: DbscanParams,
     dl: &DeadlineConfig,
 ) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    let ctl = RunCtl::new(dl);
-    let limits = ResourceLimits::UNLIMITED;
-    try_grid_exact_ctl(pts, p, BcpStrategy::TreeAssisted, &limits, &NoStats, &ctl)
-        .map(|c| (c, ctl.report()))
+    exact_run(pts, p, &par_config(1), dl, &NoStats)
 }
 
-/// A parallel exact run under `config`'s deadline, with its deadline report.
+/// A parallel exact run on `config`'s pool under `dl`, with its deadline
+/// report.
 fn par_run(
     pts: &[Point<2>],
     p: DbscanParams,
     config: &ParConfig,
+    dl: &DeadlineConfig,
 ) -> Result<(Clustering, DeadlineReport), DbscanError> {
-    let ctl = RunCtl::new(&config.deadline);
-    try_grid_exact_par_ctl(pts, p, config, &NoStats, &ctl).map(|c| (c, ctl.report()))
+    exact_run(pts, p, config, dl, &NoStats)
 }
 
-fn par_config(threads: usize, dl: DeadlineConfig) -> ParConfig {
+fn par_config(threads: usize) -> ParConfig {
     ParConfig {
         threads: Some(threads),
         recovery: RecoveryPolicy::Fail,
         limits: ResourceLimits::UNLIMITED,
-        deadline: dl,
         ..ParConfig::default()
     }
 }
@@ -112,7 +126,7 @@ fn zero_budget_degrade_is_deterministic_and_identical_across_paths() {
     // pair (skipped pairs are already-connected), so it lands on the same
     // clustering as the sequential degraded run.
     for threads in [2, 4] {
-        let (par, rep) = par_run(&pts, p, &par_config(threads, dl)).unwrap();
+        let (par, rep) = par_run(&pts, p, &par_config(threads), &dl).unwrap();
         assert_eq!(rep.outcome, DeadlineOutcome::Degraded);
         assert!(rep.degraded_edges > 0);
         assert_eq!(par.assignments, first.assignments, "threads={threads}");
@@ -218,7 +232,7 @@ fn abort_surfaces_typed_error_and_leaks_no_threads() {
     // warmed the pool for this thread count, repeated aborting calls must
     // leave the process thread count exactly where it was.
     let start = std::time::Instant::now();
-    let err = par_run(&pts, p, &par_config(4, dl)).unwrap_err();
+    let err = par_run(&pts, p, &par_config(4), &dl).unwrap_err();
     assert!(
         matches!(err, DbscanError::DeadlineExceeded { .. }),
         "got {err:?}"
@@ -233,10 +247,10 @@ fn abort_surfaces_typed_error_and_leaks_no_threads() {
     // Tests in this binary run concurrently and share the process-wide
     // pools, which live as long as the process. Warm every pool size they
     // use (2 and 4 threads) first, so none is spawned inside the window.
-    par_run(&pts, p, &par_config(2, dl)).unwrap_err();
+    par_run(&pts, p, &par_config(2), &dl).unwrap_err();
     let baseline = worker_thread_count();
     for _ in 0..5 {
-        let err = par_run(&pts, p, &par_config(4, dl)).unwrap_err();
+        let err = par_run(&pts, p, &par_config(4), &dl).unwrap_err();
         assert!(matches!(err, DbscanError::DeadlineExceeded { .. }));
     }
     // A private pool another test drops is joined, not leaked: give such
@@ -279,14 +293,12 @@ fn stall_watchdog_poisons_the_run_and_recovery_reruns_it() {
 
     let pts = lcg_points(4_000, 40.0, 21);
     let p = params(1.0, 4);
+    let dl = DeadlineConfig {
+        stall_timeout: Some(Duration::from_millis(20)),
+        ..DeadlineConfig::default()
+    };
     let stalling = |recovery| {
-        let mut config = par_config(
-            4,
-            DeadlineConfig {
-                stall_timeout: Some(Duration::from_millis(20)),
-                ..DeadlineConfig::default()
-            },
-        );
+        let mut config = par_config(4);
         config.recovery = recovery;
         // Every stolen claim sleeps 10x the threshold before it runs.
         config.faults = FaultPlan::new(3).with_steal_delay_micros(200_000);
@@ -294,7 +306,7 @@ fn stall_watchdog_poisons_the_run_and_recovery_reruns_it() {
     };
 
     let config = stalling(RecoveryPolicy::Fail);
-    match par_run(&pts, p, &config) {
+    match par_run(&pts, p, &config, &dl) {
         Err(DbscanError::WorkerPanicked {
             payload,
             panic_count,
@@ -308,8 +320,7 @@ fn stall_watchdog_poisons_the_run_and_recovery_reruns_it() {
 
     let config = stalling(RecoveryPolicy::FallbackSequential);
     let stats = Stats::new();
-    let ctl = RunCtl::new(&config.deadline);
-    let got = try_grid_exact_par_ctl(&pts, p, &config, &stats, &ctl).unwrap();
+    let (got, _) = exact_run(&pts, p, &config, &dl, &stats).unwrap();
     assert_eq!(got.assignments, grid_exact(&pts, p).assignments);
     assert_eq!(stats.report().counter(Counter::SequentialFallbacks), 1);
 }
@@ -324,12 +335,10 @@ fn cancel_latency_is_bounded_under_injected_steal_delays() {
 
     let pts = lcg_points(4_000, 40.0, 13);
     let p = params(1.0, 4);
-    let mut config = par_config(
-        4,
-        deadline(Duration::from_micros(200), DeadlinePolicy::Partial),
-    );
+    let dl = deadline(Duration::from_micros(200), DeadlinePolicy::Partial);
+    let mut config = par_config(4);
     config.faults = FaultPlan::new(5).with_steal_delay_micros(2_000);
-    let (_, report) = par_run(&pts, p, &config).unwrap();
+    let (_, report) = par_run(&pts, p, &config, &dl).unwrap();
     // The budget certainly trips on this input; the observed overshoot must
     // stay within one task plus the injected delay, padded generously.
     assert!(

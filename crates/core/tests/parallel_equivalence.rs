@@ -7,15 +7,23 @@
 //! (many tiny tasks). Static chunking degenerates on it; the work-stealing
 //! queue must still produce bit-identical clusterings at every thread count.
 
-use dbscan_core::algorithms::{grid_exact, rho_approx};
-use dbscan_core::parallel::{grid_exact_par, rho_approx_par};
+use dbscan_core::algorithms::{
+    cluster, grid_exact, rho_approx, Algorithm, ApproxOracle, BcpStrategy, Spec,
+};
 use dbscan_core::unionfind::{ConcurrentUnionFind, UnionFind};
-use dbscan_core::DbscanParams;
+use dbscan_core::{Clustering, DbscanParams, NoStats, RunCtl};
 use dbscan_geom::Point;
 use proptest::prelude::*;
 
 fn params(eps: f64, min_pts: usize) -> DbscanParams {
     DbscanParams::new(eps, min_pts).unwrap()
+}
+
+/// A [`cluster`] run of `algorithm` on a `threads`-worker pool.
+fn run_par(pts: &[Point<2>], algorithm: Algorithm, p: DbscanParams, threads: usize) -> Clustering {
+    let mut spec = Spec::new(algorithm, p);
+    spec.exec.threads = Some(threads);
+    cluster(pts, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap()
 }
 
 /// One dense cell plus uniform background: `dense` points packed into a box
@@ -46,7 +54,7 @@ proptest! {
         let p = params(0.7, min_pts);
         let seq = grid_exact(&pts, p);
         for threads in [1usize, 2, 4, 8] {
-            let par = grid_exact_par(&pts, p, Some(threads));
+            let par = run_par(&pts, Algorithm::Exact(BcpStrategy::TreeAssisted), p, threads);
             prop_assert_eq!(&par.assignments, &seq.assignments, "threads={}", threads);
             prop_assert_eq!(par.num_clusters, seq.num_clusters);
         }
@@ -60,7 +68,8 @@ proptest! {
         let p = params(0.7, min_pts);
         for rho in [0.001, 0.05] {
             let seq = rho_approx(&pts, p, rho);
-            let par = rho_approx_par(&pts, p, rho, Some(4));
+            let oracle = ApproxOracle::ProbeFirst;
+            let par = run_par(&pts, Algorithm::Approx { rho, oracle }, p, 4);
             prop_assert_eq!(&par.assignments, &seq.assignments, "rho={}", rho);
         }
     }

@@ -3,17 +3,44 @@
 //! no-op-collector equivalence, and degenerate inputs.
 
 use dbscan_core::algorithms::{
-    cit08, cit08_instrumented, grid_exact_instrumented, grid_exact_with, gunawan_2d,
-    gunawan_2d_instrumented, kdd96_kdtree, kdd96_kdtree_instrumented, rho_approx,
-    rho_approx_instrumented, BcpStrategy, Cit08Config,
+    cit08, cluster, grid_exact, grid_exact_instrumented, gunawan_2d, kdd96_kdtree, rho_approx,
+    rho_approx_instrumented, Algorithm, ApproxOracle, BcpStrategy, Cit08Config, Kdd96Index, Spec,
 };
-use dbscan_core::parallel::{grid_exact_par_instrumented, rho_approx_par_instrumented};
-use dbscan_core::{Clustering, Counter, DbscanParams, Phase, Stats, StatsReport};
+use dbscan_core::{
+    Clustering, Counter, DbscanParams, Phase, RunCtl, Stats, StatsReport, StatsSink,
+};
 use dbscan_geom::Point;
 use proptest::prelude::*;
 
 fn params(eps: f64, min_pts: usize) -> DbscanParams {
     DbscanParams::new(eps, min_pts).unwrap()
+}
+
+const EXACT: Algorithm = Algorithm::Exact(BcpStrategy::TreeAssisted);
+const KDD96: Algorithm = Algorithm::Kdd96(Kdd96Index::KdTree);
+
+fn approx(rho: f64) -> Algorithm {
+    Algorithm::Approx {
+        rho,
+        oracle: ApproxOracle::ProbeFirst,
+    }
+}
+
+fn cit08_default() -> Algorithm {
+    Algorithm::Cit08(Cit08Config::default())
+}
+
+/// A [`cluster`] run of `algorithm` on a `threads`-worker pool, into `stats`.
+fn run<const D: usize, S: StatsSink>(
+    pts: &[Point<D>],
+    algorithm: Algorithm,
+    p: DbscanParams,
+    threads: usize,
+    stats: &S,
+) -> Clustering {
+    let mut spec = Spec::new(algorithm, p);
+    spec.exec.threads = Some(threads);
+    cluster(pts, None, &spec, stats, &RunCtl::unlimited()).unwrap()
 }
 
 fn arb_points<const D: usize>(max_n: usize, span: f64) -> impl Strategy<Value = Vec<Point<D>>> {
@@ -99,7 +126,7 @@ proptest! {
         min_pts in 1usize..8,
     ) {
         let s = Stats::new();
-        gunawan_2d_instrumented(&pts, params(eps, min_pts), &s);
+        run(&pts, Algorithm::Gunawan2d, params(eps, min_pts), 1, &s);
         assert_connect_invariants(&s.report(), "gunawan_2d");
     }
 
@@ -114,7 +141,7 @@ proptest! {
         let seq = Stats::new();
         let a = grid_exact_instrumented(&pts, p, BcpStrategy::TreeAssisted, &seq);
         let par = Stats::new();
-        let b = grid_exact_par_instrumented(&pts, p, Some(4), &par);
+        let b = run(&pts, EXACT, p, 4, &par);
         prop_assert_eq!(&a.assignments, &b.assignments);
         let sr = seq.report();
         let pr = par.report();
@@ -141,7 +168,7 @@ proptest! {
         let seq = Stats::new();
         let a = rho_approx_instrumented(&pts, p, 0.01, &seq);
         let par = Stats::new();
-        let b = rho_approx_par_instrumented(&pts, p, 0.01, Some(3), &par);
+        let b = run(&pts, approx(0.01), p, 3, &par);
         prop_assert_eq!(&a.assignments, &b.assignments);
         prop_assert_eq!(
             seq.report().counter(Counter::EdgeTests),
@@ -159,29 +186,25 @@ fn instrumented_results_equal_uninstrumented() {
     let pts = lcg_points::<2>(800, 25.0, 7);
     let p = params(1.2, 4);
     let runs: Vec<(&str, Clustering, Clustering)> = vec![
-        (
-            "grid_exact",
-            grid_exact_with(&pts, p, BcpStrategy::TreeAssisted),
-            {
-                let s = Stats::new();
-                grid_exact_instrumented(&pts, p, BcpStrategy::TreeAssisted, &s)
-            },
-        ),
+        ("grid_exact", grid_exact(&pts, p), {
+            let s = Stats::new();
+            grid_exact_instrumented(&pts, p, BcpStrategy::TreeAssisted, &s)
+        }),
         ("rho_approx", rho_approx(&pts, p, 0.01), {
             let s = Stats::new();
             rho_approx_instrumented(&pts, p, 0.01, &s)
         }),
         ("gunawan_2d", gunawan_2d(&pts, p), {
             let s = Stats::new();
-            gunawan_2d_instrumented(&pts, p, &s)
+            run(&pts, Algorithm::Gunawan2d, p, 1, &s)
         }),
         ("kdd96", kdd96_kdtree(&pts, p), {
             let s = Stats::new();
-            kdd96_kdtree_instrumented(&pts, p, &s)
+            run(&pts, KDD96, p, 1, &s)
         }),
         ("cit08", cit08(&pts, p, Cit08Config::default()), {
             let s = Stats::new();
-            cit08_instrumented(&pts, p, Cit08Config::default(), &s)
+            run(&pts, cit08_default(), p, 1, &s)
         }),
     ];
     for (name, plain, instrumented) in runs {
@@ -211,17 +234,17 @@ fn phases_sum_to_at_most_total() {
         }),
         ("kdd96", {
             let s = Stats::new();
-            kdd96_kdtree_instrumented(&pts, p, &s);
+            run(&pts, KDD96, p, 1, &s);
             s
         }),
         ("cit08", {
             let s = Stats::new();
-            cit08_instrumented(&pts, p, Cit08Config::default(), &s);
+            run(&pts, cit08_default(), p, 1, &s);
             s
         }),
         ("grid_exact_par", {
             let s = Stats::new();
-            grid_exact_par_instrumented(&pts, p, Some(4), &s);
+            run(&pts, EXACT, p, 4, &s);
             s
         }),
     ];
@@ -251,7 +274,7 @@ fn degenerate_empty_input() {
         assert_eq!(r.counter(c), 0, "{}: empty input does no work", c.name());
     }
     let s = Stats::new();
-    let c = rho_approx_par_instrumented::<2, _>(&[], params(1.0, 2), 0.01, Some(4), &s);
+    let c = run::<2, _>(&[], approx(0.01), params(1.0, 2), 4, &s);
     assert_eq!(c.num_clusters, 0);
     assert_connect_invariants(&s.report(), "rho_approx_par empty");
 }
@@ -284,7 +307,7 @@ fn degenerate_identical_points() {
         },
         {
             let s = Stats::new();
-            let c = grid_exact_par_instrumented(&pts, p, Some(4), &s);
+            let c = run(&pts, EXACT, p, 4, &s);
             ("grid_exact_par", s, c)
         },
         {
@@ -294,7 +317,7 @@ fn degenerate_identical_points() {
         },
         {
             let s = Stats::new();
-            let c = gunawan_2d_instrumented(&pts, p, &s);
+            let c = run(&pts, Algorithm::Gunawan2d, p, 1, &s);
             ("gunawan_2d", s, c)
         },
     ] {
@@ -333,7 +356,7 @@ fn approx_edge_tests_decompose_into_probe_and_counter_decisions() {
         }),
         ("rho_approx_par", {
             let s = Stats::new();
-            rho_approx_par_instrumented(&pts, p, 0.01, Some(2), &s);
+            run(&pts, approx(0.01), p, 2, &s);
             s
         }),
     ] {

@@ -7,7 +7,7 @@
 //! * **admission control** — a bounded job queue; submissions past
 //!   `max_queue` are shed with an explicit `retry_after_ms` instead of
 //!   queuing unboundedly, and every request is validated through the typed
-//!   `try_*`/[`DbscanError`](dbscan_core::DbscanError) surface with
+//!   [`DbscanError`](dbscan_core::DbscanError) surface with
 //!   [`ResourceLimits`](dbscan_core::ResourceLimits) enforced per request;
 //! * **tenant fault isolation** — each job runs under `catch_unwind` plus
 //!   its own [`RunCtl`](dbscan_core::RunCtl); a panicking or fault-injected

@@ -201,6 +201,13 @@ echo "$cc_out"
 echo "$cc_out" | grep -q 'recovery invariant ok'
 echo "$cc_out" | grep -Eq 'journal compacted to [0-9]+ bytes'
 
+echo "== labels: bit-identity against BENCH_labels.txt =="
+# The FNV fingerprints of every dataset x algorithm x mode cell must match the
+# committed ones: the seed-spreader bench matrix, and the blob-and-shell rows
+# that pin both rho-approximate oracles. Any drift here is a correctness bug,
+# not noise — there is no tolerance. The run takes well under a second.
+./target/release/repro labels | grep '^labels ' | diff BENCH_labels.txt -
+
 if [[ "${VERIFY_BENCH:-0}" == "1" ]]; then
     echo "== bench: repro bench baseline (VERIFY_BENCH=1) =="
     # Snapshot the committed baseline before the bench overwrites it; the
@@ -210,17 +217,6 @@ if [[ "${VERIFY_BENCH:-0}" == "1" ]]; then
         || cp BENCH_core.json "$kernel_baseline"
     cargo run -q --release -p dbscan-bench --bin repro -- bench --scale tiny
     python3 -m json.tool BENCH_core.json > /dev/null
-
-    echo "== bench: label bit-identity smoke =="
-    # The blocked kernels promise bit-identical labels: the FNV fingerprints
-    # of every dataset x algorithm x mode cell must match the committed ones
-    # (BENCH_labels.txt, recorded when the kernels landed). Any drift here is
-    # a correctness bug, not noise — there is no tolerance.
-    labels_now=$(mktemp /tmp/dbscan-verify-labels-XXXXXX.txt)
-    cargo run -q --release -p dbscan-bench --bin repro -- labels \
-        | grep '^labels ' > "$labels_now"
-    diff BENCH_labels.txt "$labels_now"
-    rm -f "$labels_now"
 
     echo "== bench: kernel hot-path regression guard =="
     # structure_build + edge_tests on the exact sequential path is exactly

@@ -4,12 +4,18 @@
 //! clustering straight from Definitions 1–3: brute-force core labeling, a
 //! union-find over core points joined whenever two cores are within ε (the
 //! transitive closure of density-reachability restricted to cores), and border
-//! assignment to every cluster with a core within ε. Every algorithm must match.
+//! assignment to every cluster with a core within ε. Every exact algorithm must
+//! match it, and every ρ-approximate one must be sandwiched between the oracle
+//! at ε and at ε(1+ρ) (Theorem 3). The algorithms run through `cluster` from a
+//! table of `Spec`s, sequentially and on two workers.
 
-use dbscan_revisited::core::algorithms::{cit08, grid_exact, kdd96_kdtree, Cit08Config};
+use dbscan_revisited::core::algorithms::{
+    cluster, Algorithm, ApproxOracle, BcpStrategy, Cit08Config, Kdd96Index, Spec,
+};
 use dbscan_revisited::core::unionfind::UnionFind;
-use dbscan_revisited::core::{Assignment, Clustering, DbscanParams};
+use dbscan_revisited::core::{Assignment, Clustering, DbscanParams, NoStats, RunCtl};
 use dbscan_revisited::eval::same_clustering;
+use dbscan_revisited::eval::sandwich::{check_sandwich, SandwichOutcome};
 use dbscan_revisited::geom::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,24 +88,72 @@ fn random_points<const D: usize>(n: usize, span: f64, seed: u64) -> Vec<Point<D>
         .collect()
 }
 
+/// The approximation ratio of the ρ-approximate rows.
+const RHO: f64 = 0.05;
+
+/// Every algorithm variant: the four BCP strategies, both approximate
+/// oracles, the three KDD'96 indexes, CIT08, and — on 2-D inputs —
+/// Gunawan's algorithm.
+fn algorithms(two_d: bool) -> Vec<Algorithm> {
+    let mut all: Vec<Algorithm> = [
+        BcpStrategy::TreeAssisted,
+        BcpStrategy::BruteForceOnly,
+        BcpStrategy::FullBcp,
+        BcpStrategy::FullBruteBcp,
+    ]
+    .map(Algorithm::Exact)
+    .into();
+    for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
+        all.push(Algorithm::Approx { rho: RHO, oracle });
+    }
+    for index in [Kdd96Index::KdTree, Kdd96Index::RTree, Kdd96Index::Linear] {
+        all.push(Algorithm::Kdd96(index));
+    }
+    all.push(Algorithm::Cit08(Cit08Config::default()));
+    if two_d {
+        all.push(Algorithm::Gunawan2d);
+    }
+    all
+}
+
+/// Runs every algorithm of [`algorithms`] at 1 and 2 threads and checks it
+/// against the oracle: an exact result must equal it, an approximate one must
+/// pass the sandwich check against the oracle at ε and at ε(1+ρ).
+fn check_all<const D: usize>(pts: &[Point<D>], params: DbscanParams, what: &str) {
+    let truth = oracle(pts, params);
+    truth.validate().unwrap();
+    let outer = oracle(pts, params.inflate(RHO));
+    for algorithm in algorithms(D == 2) {
+        for threads in [1, 2] {
+            let mut spec = Spec::new(algorithm, params);
+            spec.exec.threads = Some(threads);
+            let name = format!("{algorithm:?} threads={threads} ({what})");
+            let c = cluster(pts, None, &spec, &NoStats, &RunCtl::unlimited())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            if let Algorithm::Approx { .. } = algorithm {
+                let outcome = check_sandwich(&truth, &c, &outer);
+                assert_eq!(outcome, SandwichOutcome::Holds, "{name}");
+            } else {
+                assert!(
+                    same_clustering(&truth, &c),
+                    "{name} differs from the definition oracle"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn algorithms_match_definition_oracle_2d() {
     for seed in 0..5u64 {
         let pts = random_points::<2>(250, 20.0, seed);
         for (eps, min_pts) in [(1.0, 3), (2.0, 6), (0.5, 2), (5.0, 20)] {
             let params = DbscanParams::new(eps, min_pts).unwrap();
-            let truth = oracle(&pts, params);
-            truth.validate().unwrap();
-            for (name, c) in [
-                ("grid_exact", grid_exact(&pts, params)),
-                ("kdd96", kdd96_kdtree(&pts, params)),
-                ("cit08", cit08(&pts, params, Cit08Config::default())),
-            ] {
-                assert!(
-                    same_clustering(&truth, &c),
-                    "{name} differs from the definition oracle (seed {seed}, eps {eps}, MinPts {min_pts})"
-                );
-            }
+            check_all(
+                &pts,
+                params,
+                &format!("seed {seed}, eps {eps}, MinPts {min_pts}"),
+            );
         }
     }
 }
@@ -108,24 +162,18 @@ fn algorithms_match_definition_oracle_2d() {
 fn algorithms_match_definition_oracle_3d_and_7d() {
     for seed in 0..3u64 {
         let pts = random_points::<3>(200, 10.0, seed);
-        let params = DbscanParams::new(1.2, 4).unwrap();
-        let truth = oracle(&pts, params);
-        assert!(same_clustering(&truth, &grid_exact(&pts, params)));
-        assert!(same_clustering(&truth, &kdd96_kdtree(&pts, params)));
-        assert!(same_clustering(
-            &truth,
-            &cit08(&pts, params, Cit08Config::default())
-        ));
+        check_all(
+            &pts,
+            DbscanParams::new(1.2, 4).unwrap(),
+            &format!("3d seed {seed}"),
+        );
 
         let pts7 = random_points::<7>(150, 6.0, seed + 100);
-        let params7 = DbscanParams::new(2.5, 5).unwrap();
-        let truth7 = oracle(&pts7, params7);
-        assert!(same_clustering(&truth7, &grid_exact(&pts7, params7)));
-        assert!(same_clustering(&truth7, &kdd96_kdtree(&pts7, params7)));
-        assert!(same_clustering(
-            &truth7,
-            &cit08(&pts7, params7, Cit08Config::default())
-        ));
+        check_all(
+            &pts7,
+            DbscanParams::new(2.5, 5).unwrap(),
+            &format!("7d seed {seed}"),
+        );
     }
 }
 
@@ -137,11 +185,6 @@ fn oracle_matches_on_degenerate_configurations() {
     pts.push(Point([3.0, 4.0])); // at distance exactly 5 from origin
     for (eps, min_pts) in [(1.0, 3), (5.0, 11), (0.1, 2)] {
         let params = DbscanParams::new(eps, min_pts).unwrap();
-        let truth = oracle(&pts, params);
-        assert!(
-            same_clustering(&truth, &grid_exact(&pts, params)),
-            "eps {eps} MinPts {min_pts}"
-        );
-        assert!(same_clustering(&truth, &kdd96_kdtree(&pts, params)));
+        check_all(&pts, params, &format!("eps {eps} MinPts {min_pts}"));
     }
 }

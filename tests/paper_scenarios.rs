@@ -2,8 +2,8 @@
 //! executable tests.
 
 use dbscan_revisited::core::algorithms::{grid_exact, gunawan_2d, rho_approx};
-use dbscan_revisited::core::parallel::grid_exact_par;
-use dbscan_revisited::core::{Assignment, DbscanParams};
+use dbscan_revisited::core::parallel::try_grid_exact_par;
+use dbscan_revisited::core::{Assignment, DbscanParams, ParConfig};
 use dbscan_revisited::eval::same_clustering;
 use dbscan_revisited::geom::point::p2;
 use dbscan_revisited::geom::Point;
@@ -57,7 +57,8 @@ fn figure2_two_clusters_shared_border_and_noise() {
 
     // Every other algorithm agrees on this example.
     assert!(same_clustering(&c, &gunawan_2d(&pts, params)));
-    assert!(same_clustering(&c, &grid_exact_par(&pts, params, Some(3))));
+    let par = try_grid_exact_par(&pts, params, &ParConfig::with_threads(Some(3))).unwrap();
+    assert!(same_clustering(&c, &par));
 }
 
 /// Figure 5: o5 is ρ-approximate density-reachable from o3 but not

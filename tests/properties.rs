@@ -2,8 +2,10 @@
 //! the Lemma 5 counter guarantee, DBSCAN semantic invariants, cross-algorithm
 //! agreement, and the sandwich theorem (under both ρ-approximate edge oracles).
 
-use dbscan_revisited::core::algorithms::{grid_exact, kdd96_linear, rho_approx_with, ApproxOracle};
-use dbscan_revisited::core::{Assignment, DbscanParams};
+use dbscan_revisited::core::algorithms::{
+    cluster, grid_exact, kdd96_linear, Algorithm, ApproxOracle, Spec,
+};
+use dbscan_revisited::core::{Assignment, DbscanParams, NoStats, RunCtl};
 use dbscan_revisited::eval::same_clustering;
 use dbscan_revisited::eval::sandwich::{check_sandwich, SandwichOutcome};
 use dbscan_revisited::geom::Point;
@@ -125,7 +127,8 @@ proptest! {
         let inner = grid_exact(&pts, params);
         let outer = grid_exact(&pts, params.inflate(rho));
         for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
-            let approx = rho_approx_with(&pts, params, rho, oracle);
+            let spec = Spec::new(Algorithm::Approx { rho, oracle }, params);
+            let approx = cluster(&pts, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap();
             prop_assert_eq!(check_sandwich(&inner, &approx, &outer), SandwichOutcome::Holds);
         }
     }

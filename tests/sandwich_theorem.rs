@@ -2,8 +2,8 @@
 //! datasets, radii, and approximation ratios: the ρ-approximate result always
 //! sits between exact DBSCAN at ε and at ε(1+ρ), under both edge oracles.
 
-use dbscan_revisited::core::algorithms::{grid_exact, rho_approx_with, ApproxOracle};
-use dbscan_revisited::core::DbscanParams;
+use dbscan_revisited::core::algorithms::{cluster, grid_exact, Algorithm, ApproxOracle, Spec};
+use dbscan_revisited::core::{DbscanParams, NoStats, RunCtl};
 use dbscan_revisited::datagen::{seed_spreader, SpreaderConfig};
 use dbscan_revisited::eval::sandwich::{check_sandwich, SandwichOutcome};
 use dbscan_revisited::geom::Point;
@@ -15,7 +15,8 @@ fn assert_sandwich<const D: usize>(pts: &[Point<D>], eps: f64, min_pts: usize, r
     let inner = grid_exact(pts, params);
     let outer = grid_exact(pts, params.inflate(rho));
     for oracle in [ApproxOracle::ProbeFirst, ApproxOracle::CounterOnly] {
-        let approx = rho_approx_with(pts, params, rho, oracle);
+        let spec = Spec::new(Algorithm::Approx { rho, oracle }, params);
+        let approx = cluster(pts, None, &spec, &NoStats, &RunCtl::unlimited()).unwrap();
         let outcome = check_sandwich(&inner, &approx, &outer);
         assert_eq!(
             outcome,
