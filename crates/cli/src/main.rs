@@ -14,21 +14,24 @@
 //!                       DBSCAN_THREADS environment variable when set
 //!                       (same convention; unset = sequential run)
 //!   --recovery POLICY   fail | fallback-sequential: what a parallel run does
-//!                       when a worker panics [default: fail]
+//!                       when a worker panics [default: fail]; parallel runs
+//!                       only (a usage error without --threads)
 //!   --max-index-bytes N refuse index builds whose estimated footprint
 //!                       exceeds N bytes (a typed error, not an OOM)
 //!   --faults SPEC       deterministic fault-injection plan, e.g.
 //!                       'seed=42,edge=1'; requires a binary built with
-//!                       --features fault-injection
+//!                       --features fault-injection; parallel runs only (a
+//!                       usage error without --threads)
 //!   --deadline DUR      wall-clock budget for the run, e.g. '500ms', '2s',
 //!                       '1m' (suffixes: us, ms, s, m)
 //!   --deadline-policy P abort | degrade | partial: what to do when the
 //!                       budget expires [default: abort]
 //!   --degrade-rho FLOAT the rho' used for approximate edge tests under
 //!                       'degrade' [default: 0.001]
-//!   --stall-timeout DUR parallel runs only: declare the run wedged when a
-//!                       worker makes no progress for DUR (escalates to the
-//!                       --recovery policy)
+//!   --stall-timeout DUR declare the run wedged when a worker makes no
+//!                       progress for DUR (escalates to the --recovery
+//!                       policy); parallel runs only (a usage error without
+//!                       --threads)
 //!   --stats             print a dbscan-stats/v7 JSON line (per-phase wall
 //!                       times and operation counters) to stdout
 //!   --stats-out FILE    write the stats JSON to FILE instead of stdout
@@ -145,9 +148,9 @@ struct Args {
     algorithm: String,
     rho: f64,
     threads: Option<usize>,
-    recovery: RecoveryPolicy,
+    recovery: Option<RecoveryPolicy>,
     max_index_bytes: Option<u64>,
-    faults: FaultPlan,
+    faults: Option<FaultPlan>,
     deadline: Option<Duration>,
     deadline_policy: DeadlinePolicy,
     degrade_rho: f64,
@@ -209,9 +212,9 @@ fn parse_args() -> Args {
     let mut algorithm = "approx".to_string();
     let mut rho = 0.001;
     let mut threads = None;
-    let mut recovery = RecoveryPolicy::default();
+    let mut recovery = None;
     let mut max_index_bytes = None;
-    let mut faults = FaultPlan::default();
+    let mut faults = None;
     let mut deadline = None;
     let mut deadline_policy = DeadlinePolicy::default();
     let mut degrade_rho = 0.001;
@@ -240,10 +243,10 @@ fn parse_args() -> Args {
             "--rho" => rho = parse_num(&value("--rho"), "--rho"),
             "--threads" => threads = Some(parse_num(&value("--threads"), "--threads")),
             "--recovery" => {
-                recovery = value("--recovery").parse().unwrap_or_else(|e| {
+                recovery = Some(value("--recovery").parse().unwrap_or_else(|e| {
                     eprintln!("--recovery: {e}");
                     std::process::exit(2);
-                })
+                }))
             }
             "--max-index-bytes" => {
                 max_index_bytes = Some(parse_num(&value("--max-index-bytes"), "--max-index-bytes"))
@@ -257,10 +260,10 @@ fn parse_args() -> Args {
                     );
                     std::process::exit(2);
                 }
-                faults = spec.parse().unwrap_or_else(|e| {
+                faults = Some(spec.parse().unwrap_or_else(|e| {
                     eprintln!("--faults: {e}");
                     std::process::exit(2);
-                });
+                }));
             }
             "--deadline" => {
                 deadline = Some(parse_duration(&value("--deadline")).unwrap_or_else(|e| {
@@ -385,8 +388,16 @@ fn cluster<const D: usize, S: StatsSink>(
             args.algorithm
         ));
     }
-    if args.stall_timeout.is_some() && args.threads.is_none() {
-        return Err("--stall-timeout requires a parallel run (--threads)".to_string());
+    // These three only act on worker tasks of a parallel run; rather than
+    // silently doing nothing on a sequential one, they are refused there.
+    for (flag, given) in [
+        ("--stall-timeout", args.stall_timeout.is_some()),
+        ("--faults", args.faults.is_some()),
+        ("--recovery", args.recovery.is_some()),
+    ] {
+        if given && args.threads.is_none() {
+            return Err(format!("{flag} requires a parallel run (--threads)"));
+        }
     }
     let algorithm = match args.algorithm.as_str() {
         "exact" => Algorithm::Exact(BcpStrategy::TreeAssisted),
@@ -399,20 +410,17 @@ fn cluster<const D: usize, S: StatsSink>(
         "gunawan2d" => Algorithm::Gunawan2d,
         other => return Err(format!("unknown algorithm '{other}'")),
     };
-    // A sequential run is the one-thread pool; the fault plan applies to
-    // parallel runs only.
+    // A sequential run is the one-thread pool, with the default recovery
+    // and no fault plan (the flags are refused above).
     let spec = Spec {
         algorithm,
         params,
         exec: ParConfig {
             threads: Some(args.threads.unwrap_or(1)),
             pool: None,
-            recovery: args.recovery,
+            recovery: args.recovery.unwrap_or_default(),
             limits: args.limits(),
-            faults: match args.threads {
-                Some(_) => args.faults.clone(),
-                None => FaultPlan::default(),
-            },
+            faults: args.faults.clone().unwrap_or_default(),
         },
     };
     // Typed library diagnostics are printed verbatim by `main`.
@@ -458,7 +466,7 @@ fn stats_envelope<const D: usize>(
         out.push_str(&format!(
             ",\"threads\":{},\"threads_requested\":{t},\"recovery\":\"{}\"",
             dbscan_core::parallel::resolve_threads(Some(t)),
-            args.recovery.name()
+            args.recovery.unwrap_or_default().name()
         ));
     }
     out.push_str(&format!(

@@ -949,3 +949,54 @@ fn stall_timeout_without_threads_is_rejected() {
     assert!(err.contains("--threads"), "stderr: {err}");
     std::fs::remove_file(&input).ok();
 }
+
+/// `--recovery` decides what happens when a parallel worker panics; a
+/// sequential run has no workers, so the flag is rejected there like
+/// `--stall-timeout`.
+#[test]
+fn recovery_without_threads_is_rejected() {
+    let input = tmp("recovery-seq.csv");
+    write_two_blob_csv(&input);
+    let out = bin()
+        .arg("--input")
+        .arg(&input)
+        .args(["--eps", "0.5", "--min-pts", "3", "--algorithm", "exact"])
+        .args(["--recovery", "fallback-sequential"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--recovery requires a parallel run (--threads)"),
+        "stderr: {err}"
+    );
+    std::fs::remove_file(&input).ok();
+}
+
+/// `--faults` without `--threads` never runs silently: with fault injection
+/// compiled in it is rejected like `--stall-timeout`, and without it the
+/// flag is the feature's usage error.
+#[test]
+fn faults_without_threads_is_rejected() {
+    let input = tmp("faults-seq.csv");
+    write_two_blob_csv(&input);
+    let out = bin()
+        .arg("--input")
+        .arg(&input)
+        .args(["--eps", "0.5", "--min-pts", "3", "--algorithm", "exact"])
+        .args(["--faults", "seed=42,edge=1"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    if cfg!(feature = "fault-injection") {
+        assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+        assert!(
+            err.contains("--faults requires a parallel run (--threads)"),
+            "stderr: {err}"
+        );
+    } else {
+        assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+        assert!(err.contains("fault-injection"), "stderr: {err}");
+    }
+    std::fs::remove_file(&input).ok();
+}

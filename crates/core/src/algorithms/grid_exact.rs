@@ -118,7 +118,7 @@ fn bcp_edges<const D: usize, S: StatsSink>(
     let eps = cc.params.eps();
     let trees = g.slots::<KdTree<D>>();
     let uf = g.connect(|r1, r2| {
-        let (a, b) = (&cc.core_points_of[r1], &cc.core_points_of[r2]);
+        let (a, b) = (cc.core_points(r1), cc.core_points(r2));
         match strategy {
             BcpStrategy::FullBcp => {
                 stats.bump(Counter::FullBcpDecisions);
@@ -149,7 +149,7 @@ fn bcp_edges<const D: usize, S: StatsSink>(
         stats.bump(Counter::TreeProbeDecisions);
         let (probe, tree_rank) = if a.len() <= b.len() { (a, r2) } else { (b, r1) };
         let (tree, built) = g.lazy(&trees[tree_rank], || {
-            let ids = &cc.core_points_of[tree_rank];
+            let ids = cc.core_points(tree_rank);
             KdTree::build_entries(ids.iter().map(|&i| (points[i as usize], i)).collect())
         });
         stats.bump(if built {

@@ -49,9 +49,9 @@ pub(crate) fn gunawan_run<const D: usize, S: StatsSink>(
         // O(n log n) pass, and under `degrade` some trees may simply go
         // unused.
         let trees: Vec<KdTree<D>> = stats.time(Phase::StructureBuild, || {
-            cc.core_points_of
-                .iter()
-                .map(|ids| {
+            (0..cc.num_core_cells())
+                .map(|r| {
+                    let ids = cc.core_points(r);
                     KdTree::build_entries(ids.iter().map(|&i| (points[i as usize], i)).collect())
                 })
                 .collect()
@@ -60,10 +60,10 @@ pub(crate) fn gunawan_run<const D: usize, S: StatsSink>(
         g.connect(|r1, r2| {
             stats.bump(Counter::TreeProbeDecisions);
             // Probe the smaller cell's core points against the larger cell's tree.
-            let (probe, tree) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
-                (&cc.core_points_of[r1], &trees[r2])
+            let (probe, tree) = if cc.core_points(r1).len() <= cc.core_points(r2).len() {
+                (cc.core_points(r1), &trees[r2])
             } else {
-                (&cc.core_points_of[r2], &trees[r1])
+                (cc.core_points(r2), &trees[r1])
             };
             if S::ENABLED {
                 let mut nodes = 0u64;

@@ -226,13 +226,14 @@ pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
         }
     }
     stats.bump(Counter::CounterDecisions);
-    let (probe_rank, counter_rank) = if cc.core_points_of[r1].len() <= cc.core_points_of[r2].len() {
+    let (probe_rank, counter_rank) = if cc.core_points(r1).len() <= cc.core_points(r2).len() {
         (r1, r2)
     } else {
         (r2, r1)
     };
     let (counter, built) = g.lazy(&counters[counter_rank], || {
-        let pts: Vec<Point<D>> = cc.core_points_of[counter_rank]
+        let pts: Vec<Point<D>> = cc
+            .core_points(counter_rank)
             .iter()
             .map(|&i| points[i as usize])
             .collect();
@@ -241,7 +242,7 @@ pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
     if built {
         stats.bump(Counter::CounterBuilds);
     }
-    let probe = &cc.core_points_of[probe_rank];
+    let probe = cc.core_points(probe_rank);
     if S::ENABLED {
         let mut visited = 0u64;
         let mut queries = 0u64;
@@ -395,7 +396,7 @@ mod tests {
                 for r1 in 0..cc.num_core_cells() {
                     cc.for_candidate_partners(r1, |r2| {
                         let yes = counter_edge_test(g, &counters, EdgeRule { rho, oracle }, r1, r2);
-                        let (a, b) = (&cc.core_points_of[r1], &cc.core_points_of[r2]);
+                        let (a, b) = (cc.core_points(r1), cc.core_points(r2));
                         let (_, _, d) = bcp::closest_pair_brute(pts, a, b).unwrap();
                         let what = format!("{oracle:?} eps={eps} rho={rho} bcp={}", d.sqrt());
                         if yes {

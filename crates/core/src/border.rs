@@ -35,7 +35,7 @@ pub fn assign_border_clusters<const D: usize>(
         if clusters.contains(&cluster) {
             return; // this cluster is already attested
         }
-        // Blocked scan over the cell's gathered core-point lanes — same
+        // Blocked scan over the core prefix of the cell's lanes — same
         // ∃-within-ε answer as the scalar id walk (identical accumulation
         // order; see `dbscan_geom::kernels`), early-exiting between blocks.
         if any_within_block(q_pt, &cc.core_block(rank as usize), eps_sq) {
@@ -84,8 +84,8 @@ mod tests {
         let mut uf = connect_with(&pts, &cc, 1, |r1, r2| {
             crate::bcp::within_threshold_brute(
                 &pts,
-                &cc.core_points_of[r1],
-                &cc.core_points_of[r2],
+                cc.core_points(r1),
+                cc.core_points(r2),
                 params.eps(),
             )
         });

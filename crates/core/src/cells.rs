@@ -27,10 +27,18 @@ use dbscan_geom::kernels::SoaBlock;
 use dbscan_geom::Point;
 use dbscan_index::GridIndex;
 
-/// The grid, core labels, and the per-cell core point lists that the cell-graph
-/// algorithms operate on.
+/// The grid, core labels, and the core cells that the cell-graph algorithms
+/// operate on.
+///
+/// Every cell of the grid keeps its core points first: rank `r`'s core
+/// points are a prefix of its cell's ids and SoA lanes
+/// ([`CoreCells::core_points`], [`CoreCells::core_block`]), and the rest of
+/// the cell is its non-core points ([`CoreCells::non_core_points`]), each
+/// part in ascending id order. The edge kernels and border assignment read
+/// the grid's own storage; nothing is copied per rank.
 pub struct CoreCells<const D: usize> {
     pub params: DbscanParams,
+    /// The grid, partitioned core-first within every cell.
     pub grid: GridIndex<D>,
     /// Per input point: is it a core point?
     pub is_core: Vec<bool>,
@@ -40,39 +48,9 @@ pub struct CoreCells<const D: usize> {
     pub core_cells: Vec<u32>,
     /// Inverse of `core_cells`: `rank_of_cell[cell] == u32::MAX` for non-core cells.
     pub rank_of_cell: Vec<u32>,
-    /// Per rank, the ids of the core points in that cell.
-    pub core_points_of: Vec<Vec<u32>>,
-    /// Per-rank core-point coordinates gathered into contiguous lanes (rank
-    /// `r`'s region holds lane 0 of all its points, then lane 1, …), so the
-    /// blocked BCP and border kernels stream coordinates instead of chasing
-    /// point ids. Same point order as `core_points_of[r]`.
-    pub(crate) core_soa: Vec<f64>,
-    /// Prefix offsets into `core_soa` in *points*: rank `r`'s lanes occupy
-    /// `core_soa[start[r]*D .. start[r+1]*D]`. Length `num_core_cells() + 1`.
-    pub(crate) core_soa_start: Vec<u32>,
-}
-
-/// Gathers each rank's core-point coordinates into one flat lane-major buffer
-/// (see [`CoreCells::core_soa`]).
-fn gather_core_soa<const D: usize>(
-    points: &[Point<D>],
-    core_points_of: &[Vec<u32>],
-) -> (Vec<f64>, Vec<u32>) {
-    let total: usize = core_points_of.iter().map(Vec::len).sum();
-    let mut soa = Vec::with_capacity(total * D);
-    let mut start = Vec::with_capacity(core_points_of.len() + 1);
-    let mut off = 0u32;
-    start.push(off);
-    for ids in core_points_of {
-        // Same lane-major layout as `SoaBlock::gather`, written straight
-        // into the shared buffer (no per-cell temporary).
-        for d in 0..D {
-            soa.extend(ids.iter().map(|&i| points[i as usize][d]));
-        }
-        off += ids.len() as u32;
-        start.push(off);
-    }
-    (soa, start)
+    /// Per rank, the number of core points in the cell: the length of the
+    /// cell's core prefix.
+    core_len: Vec<u32>,
 }
 
 impl<const D: usize> CoreCells<D> {
@@ -83,13 +61,7 @@ impl<const D: usize> CoreCells<D> {
         let side_tables = self.is_core.len() * std::mem::size_of::<bool>()
             + self.core_cells.len() * std::mem::size_of::<u32>()
             + self.rank_of_cell.len() * std::mem::size_of::<u32>()
-            + self
-                .core_points_of
-                .iter()
-                .map(|v| std::mem::size_of::<Vec<u32>>() + v.len() * std::mem::size_of::<u32>())
-                .sum::<usize>()
-            + self.core_soa.len() * std::mem::size_of::<f64>()
-            + self.core_soa_start.len() * std::mem::size_of::<u32>();
+            + self.core_len.len() * std::mem::size_of::<u32>();
         self.grid.approx_bytes() + side_tables as u64
     }
 
@@ -104,14 +76,16 @@ impl<const D: usize> CoreCells<D> {
 
     /// Fallible, deadline-aware build on `config`'s pool: validates the
     /// points (finite coordinates, representable cell indices), builds the
-    /// grid under `config.limits`' byte budget ([`Phase::GridBuild`]), and
-    /// labels core points on the pool, one task per cell, checkpointing
-    /// `ctl` once per cell ([`Phase::Labeling`], which also covers the
-    /// core-cell collection). The grid build itself is atomic (a single
-    /// allocation-and-scatter pass, not task-shaped). Under `abort` the
-    /// caller converts the observed expiry to the typed error after this
-    /// returns; under `partial` the unlabeled cells simply come back
-    /// non-core. A labeling panic follows `config.recovery`.
+    /// grid in one chunk per pool thread under `config.limits`' byte budget
+    /// ([`Phase::GridBuild`]), labels core points on the pool, one task per
+    /// cell, checkpointing `ctl` once per cell, and then moves every cell's
+    /// core points to the front of its storage ([`Phase::Labeling`] covers
+    /// both). The grid build and the partition are atomic: they never stop
+    /// for the budget, so a tripped budget cannot truncate the grid. Under
+    /// `abort` the caller converts the observed expiry to the typed error
+    /// after this returns; under `partial` the unlabeled cells simply come
+    /// back non-core. A panic in any of these tasks follows
+    /// `config.recovery`.
     pub fn try_build_ctl<S: StatsSink>(
         points: &[Point<D>],
         params: DbscanParams,
@@ -131,44 +105,37 @@ impl<const D: usize> CoreCells<D> {
         exec: &Exec<'_, S>,
     ) -> Result<Self, DbscanError> {
         let stats = exec.stats;
-        crate::validate::check_points_finite(points)?;
         let span = stats.now();
-        let grid = GridIndex::try_build(points, params.eps(), exec.limits.max_index_bytes)?;
+        // The grid build refuses non-finite coordinates itself, so the
+        // finiteness pass runs only on a refusal: a non-finite point is then
+        // reported as such, ahead of any other error, as if checked first.
+        let mut grid = exec.build_grid(points, params.eps()).map_err(|e| {
+            crate::validate::check_points_finite(points)
+                .err()
+                .unwrap_or(e)
+        })?;
         stats.finish(Phase::GridBuild, span);
         let span = stats.now();
         let is_core = label_core_points(points, &grid, params, exec)?;
-
+        let core_len_of_cell = exec.partition_core_first(&mut grid, &is_core)?;
         let mut core_cells = Vec::new();
         let mut rank_of_cell = vec![u32::MAX; grid.num_cells()];
-        let mut core_points_of = Vec::new();
-        for ci in 0..grid.num_cells() {
-            let core_pts: Vec<u32> = grid
-                .points_of(ci as u32)
-                .iter()
-                .copied()
-                .filter(|&p| is_core[p as usize])
-                .collect();
-            if !core_pts.is_empty() {
+        let mut core_len = Vec::new();
+        for (ci, &len) in core_len_of_cell.iter().enumerate() {
+            if len > 0 {
                 rank_of_cell[ci] = core_cells.len() as u32;
                 core_cells.push(ci as u32);
-                core_points_of.push(core_pts);
+                core_len.push(len);
             }
         }
         stats.finish(Phase::Labeling, span);
-        // The gather is a structure build (it is what the edge kernels run
-        // over), kept out of the labeling span like the lazy kd-tree builds.
-        let span = stats.now();
-        let (core_soa, core_soa_start) = gather_core_soa(points, &core_points_of);
-        stats.finish(Phase::StructureBuild, span);
         Ok(CoreCells {
             params,
             grid,
             is_core,
             core_cells,
             rank_of_cell,
-            core_points_of,
-            core_soa,
-            core_soa_start,
+            core_len,
         })
     }
 
@@ -179,16 +146,30 @@ impl<const D: usize> CoreCells<D> {
 
     /// Total number of core points.
     pub fn num_core_points(&self) -> usize {
-        self.core_points_of.iter().map(Vec::len).sum()
+        self.core_len.iter().map(|&l| l as usize).sum()
+    }
+
+    /// Ids of rank `r`'s core points, ascending.
+    pub fn core_points(&self, r: usize) -> &[u32] {
+        &self.grid.points_of(self.core_cells[r])[..self.core_len[r] as usize]
     }
 
     /// Structure-of-arrays view of rank `r`'s core points, in
-    /// `core_points_of[r]` order — the input of the blocked distance kernels
-    /// ([`dbscan_geom::kernels`]).
+    /// [`CoreCells::core_points`] order — the input of the blocked distance
+    /// kernels ([`dbscan_geom::kernels`]).
     pub fn core_block(&self, r: usize) -> SoaBlock<'_, D> {
-        let s = self.core_soa_start[r] as usize;
-        let e = self.core_soa_start[r + 1] as usize;
-        SoaBlock::from_contiguous(&self.core_soa[s * D..e * D], e - s)
+        self.grid
+            .cell_block(self.core_cells[r])
+            .sub(0, self.core_len[r] as usize)
+    }
+
+    /// Ids of the non-core points of grid cell `cell`, ascending.
+    pub fn non_core_points(&self, cell: u32) -> &[u32] {
+        let core = match self.rank_of_cell[cell as usize] {
+            u32::MAX => 0,
+            r => self.core_len[r as usize] as usize,
+        };
+        &self.grid.points_of(cell)[core..]
     }
 
     /// Calls `f(r2)` for every candidate partner of rank `r1`: the ε-neighbor
@@ -212,10 +193,10 @@ impl<const D: usize> CoreCells<D> {
     /// queries are cheaper). Used by multi-worker pools to order tasks
     /// heaviest-first (see [`crate::scheduler`]).
     pub fn edge_task_weight(&self, r1: usize) -> u64 {
-        let len1 = self.core_points_of[r1].len() as u64;
+        let len1 = u64::from(self.core_len[r1]);
         let mut weight = 0u64;
         self.for_candidate_partners(r1, |r2| {
-            weight += len1 * self.core_points_of[r2].len() as u64;
+            weight += len1 * u64::from(self.core_len[r2]);
         });
         weight
     }
@@ -240,7 +221,10 @@ mod tests {
         assert_eq!(cc.num_core_points(), 3);
         assert!(cc.num_core_cells() >= 1);
         // Every core point appears in exactly one core cell list.
-        let all: Vec<u32> = cc.core_points_of.iter().flatten().copied().collect();
+        let all: Vec<u32> = (0..cc.num_core_cells())
+            .flat_map(|r| cc.core_points(r))
+            .copied()
+            .collect();
         let mut sorted = all.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
@@ -276,8 +260,8 @@ mod tests {
             let mut uf = connect_with(&pts, &cc, threads, |r1, r2| {
                 crate::bcp::within_threshold_brute(
                     &pts,
-                    &cc.core_points_of[r1],
-                    &cc.core_points_of[r2],
+                    cc.core_points(r1),
+                    cc.core_points(r2),
                     p.eps(),
                 )
             });

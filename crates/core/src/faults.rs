@@ -17,29 +17,33 @@
 use std::fmt;
 use std::str::FromStr;
 
-/// A pipeline location where faults can be injected. The three sites map to
-/// the three parallel stages of `dbscan_core::parallel` (core labeling, edge
-/// tests, border assignment); injected panics fire at the start of a claimed
-/// task's body, inside its `catch_unwind` envelope.
+/// A pipeline location where faults can be injected. The four sites map to
+/// the four parallel stages of `dbscan_core::parallel` (grid build, core
+/// labeling, edge tests, border assignment); injected panics fire at the
+/// start of a claimed task's body, inside its `catch_unwind` envelope.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultSite {
     /// The core-point labeling stage (one task per grid cell).
     Labeling,
     /// The fused structure-build + edge-test stage (one task per core cell).
     EdgeTests,
-    /// The border-point assignment stage (one task per point chunk).
+    /// The border-point assignment stage (one task per grid cell).
     BorderAssign,
+    /// The chunked grid build (one task per id or cell range in each of its
+    /// passes). Declared last so the other sites keep their fault decisions.
+    Grid,
 }
 
 impl FaultSite {
     /// Number of distinct sites.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 4;
 
     /// All sites, in declaration order.
     pub const ALL: [FaultSite; FaultSite::COUNT] = [
         FaultSite::Labeling,
         FaultSite::EdgeTests,
         FaultSite::BorderAssign,
+        FaultSite::Grid,
     ];
 
     /// Stable lowercase name (used in panic payloads and the `--faults` spec).
@@ -48,6 +52,7 @@ impl FaultSite {
             FaultSite::Labeling => "labeling",
             FaultSite::EdgeTests => "edge",
             FaultSite::BorderAssign => "border",
+            FaultSite::Grid => "grid",
         }
     }
 }
@@ -62,7 +67,7 @@ impl FaultSite {
 /// ```
 ///
 /// keys: `seed` (u64), one probability in `[0, 1]` per site name
-/// (`labeling`, `edge`, `border`), and `steal-delay-us` (a forced sleep, in
+/// (`grid`, `labeling`, `edge`, `border`), and `steal-delay-us` (a forced sleep, in
 /// microseconds, on every successful *steal-path* claim — exercising the
 /// scheduler's cross-segment windows).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -189,7 +194,7 @@ impl FromStr for FaultPlan {
                         .ok_or_else(|| {
                             format!(
                                 "unknown fault key {name:?} (expected seed, steal-delay-us, \
-                                 labeling, edge, or border)"
+                                 grid, labeling, edge, or border)"
                             )
                         })?;
                     let p: f64 = value
@@ -212,11 +217,12 @@ mod tests {
 
     #[test]
     fn parses_full_spec() {
-        let plan: FaultPlan = "seed=42,edge=1,labeling=0.25,steal-delay-us=100"
+        let plan: FaultPlan = "seed=42,edge=1,labeling=0.25,grid=0.5,steal-delay-us=100"
             .parse()
             .unwrap();
         let expected = FaultPlan::new(42)
             .with_panic(FaultSite::EdgeTests, 1.0)
+            .with_panic(FaultSite::Grid, 0.5)
             .with_panic(FaultSite::Labeling, 0.25)
             .with_steal_delay_micros(100);
         assert_eq!(plan, expected);

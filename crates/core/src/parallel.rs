@@ -39,8 +39,9 @@
 //!
 //! # Worker pool
 //!
-//! All three stages (labeling, the fused edge stage, border assignment) run
-//! on a persistent [`WorkerPool`]: workers are spawned once — lazily through
+//! Every stage (the chunked grid build, labeling and its core-first
+//! partition, the fused edge stage, border assignment) runs on a persistent
+//! [`WorkerPool`]: workers are spawned once — lazily through
 //! the process-wide [`WorkerPool::global`] cache, or explicitly via
 //! [`ParConfig::pool`] for callers that manage their own handle — and parked
 //! on a condvar between stages.
@@ -80,9 +81,11 @@
 //!
 //! # Deadlines and stalls
 //!
-//! Every stage is additionally a cooperative cancellation point: workers
-//! consult the run's [`RunCtl`] before each claim, so a tripped time budget
-//! stops the whole fleet within one task's worth of work (the queue is
+//! Every stage except the two atomic ones (the grid build and the
+//! core-first partition, so that a tripped budget never leaves a truncated
+//! grid) is also a cooperative cancellation point: workers consult the run's
+//! [`RunCtl`] before each claim, so a tripped time budget stops the whole
+//! fleet within one task's worth of work (the queue is
 //! closed by the first observer, which bounds how much the others can still
 //! claim). Under [`DeadlinePolicy::Degrade`](crate::deadline::DeadlinePolicy)
 //! the edge stage instead switches the remaining pair tests to the Lemma 5
@@ -109,6 +112,7 @@ use crate::trace::{hist::HistKind, EventName};
 use crate::types::{Assignment, Clustering, DbscanParams};
 use crate::unionfind::{ConcurrentUnionFind, UnionFind};
 use dbscan_geom::Point;
+use dbscan_index::GridIndex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -244,8 +248,9 @@ pub(crate) struct Exec<'a, S> {
 
 /// The fixed names of one pipeline stage.
 pub(crate) struct Stage {
-    /// Progress slot in the run's [`RunCtl`].
-    id: StageId,
+    /// Progress slot in the run's [`RunCtl`]. A stage without one is atomic:
+    /// it is no cancellation point and runs every task.
+    id: Option<StageId>,
     /// Phase name reported by [`DbscanError::WorkerPanicked`].
     name: &'static str,
     site: FaultSite,
@@ -253,20 +258,33 @@ pub(crate) struct Stage {
     span: EventName,
 }
 
+/// The passes of the chunked grid build, one task per chunk.
+const GRID: Stage = Stage {
+    id: None,
+    name: "grid_build",
+    site: FaultSite::Grid,
+    span: EventName::TaskGrid,
+};
 pub(crate) const LABELING: Stage = Stage {
-    id: StageId::Labeling,
+    id: Some(StageId::Labeling),
     name: "labeling",
     site: FaultSite::Labeling,
     span: EventName::TaskLabeling,
 };
+/// The core-first partition that closes labeling: its verdicts must reach
+/// every cell, even under a tripped budget.
+const CORE_PARTITION: Stage = Stage {
+    id: None,
+    ..LABELING
+};
 const EDGES: Stage = Stage {
-    id: StageId::EdgeTests,
+    id: Some(StageId::EdgeTests),
     name: "edge_tests",
     site: FaultSite::EdgeTests,
     span: EventName::TaskEdge,
 };
 const BORDER: Stage = Stage {
-    id: StageId::BorderAssign,
+    id: Some(StageId::BorderAssign),
     name: "border_assign",
     site: FaultSite::BorderAssign,
     span: EventName::TaskBorder,
@@ -293,8 +311,9 @@ impl<S: StatsSink> Exec<'_, S> {
         let threads = pool.threads();
         let workers = threads > 1;
         let stall = ctl.stall_timeout().filter(|_| workers);
-        if ctl.armed() {
-            ctl.stage_begin(stage.id, queue.len() as u64);
+        let progress = stage.id.filter(|_| ctl.armed());
+        if let Some(id) = progress {
+            ctl.stage_begin(id, queue.len() as u64);
         }
         let poison = Poison::new();
         let hb = Heartbeats::new(threads);
@@ -308,7 +327,7 @@ impl<S: StatsSink> Exec<'_, S> {
                     queue.close();
                     break;
                 }
-                if ctl.should_stop() {
+                if stage.id.is_some() && ctl.should_stop() {
                     // budget tripped: close so peers stop claiming too.
                     // Under `degrade` this never fires — the edge test flips
                     // to the approximate path instead.
@@ -347,8 +366,8 @@ impl<S: StatsSink> Exec<'_, S> {
                     poison.record(stage.name, claim.task, payload);
                     break;
                 }
-                if ctl.armed() {
-                    ctl.stage_done(stage.id, 1);
+                if let Some(id) = progress {
+                    ctl.stage_done(id, 1);
                 }
             }
             hb.mark_done(w);
@@ -368,6 +387,55 @@ impl<S: StatsSink> Exec<'_, S> {
             None => pool.run_phase(&body),
         }
         check_poison(&poison, stage.name, stats)
+    }
+
+    /// Runs `task(t)` for every `t` in `0..tasks` as tasks of the atomic
+    /// `stage`: the chunk runner of the grid passes.
+    fn run_all(
+        &self,
+        stage: &Stage,
+        tasks: usize,
+        task: &(dyn Fn(usize) + Sync),
+    ) -> Result<(), DbscanError> {
+        let queue = WorkQueue::unweighted(tasks, self.pool.threads());
+        self.run_tasks(
+            stage,
+            &queue,
+            || (),
+            |_, _, t| task(t as usize),
+            |_| 0,
+            |_, _| (),
+        )
+    }
+
+    /// The side-`ε/√d` grid over `points`, built in one chunk per pool
+    /// thread ([`GridIndex::try_build_chunked`]) under the run's byte budget.
+    pub(crate) fn build_grid<const D: usize>(
+        &self,
+        points: &[Point<D>],
+        eps: f64,
+    ) -> Result<GridIndex<D>, DbscanError> {
+        GridIndex::try_build_chunked(
+            points,
+            eps,
+            self.limits.max_index_bytes,
+            self.pool.threads(),
+            |tasks, task| self.run_all(&GRID, tasks, task),
+        )
+    }
+
+    /// Moves every cell's core points ahead of its other points
+    /// ([`GridIndex::partition_cells`]) and returns the core count per cell.
+    pub(crate) fn partition_core_first<const D: usize>(
+        &self,
+        grid: &mut GridIndex<D>,
+        is_core: &[bool],
+    ) -> Result<Vec<u32>, DbscanError> {
+        grid.partition_cells(
+            |p| is_core[p as usize],
+            self.pool.threads(),
+            |tasks, task| self.run_all(&CORE_PARTITION, tasks, task),
+        )
     }
 }
 
@@ -704,14 +772,16 @@ fn assemble<const D: usize, S: StatsSink>(
     let span = stats.now();
     let (component_of_rank, num_clusters) = uf.compact_labels();
     let mut assignments = vec![Assignment::Noise; points.len()];
-    for (rank, core_pts) in cc.core_points_of.iter().enumerate() {
-        let cluster = component_of_rank[rank];
-        for &p in core_pts {
+    for (rank, &cluster) in component_of_rank.iter().enumerate() {
+        for &p in cc.core_points(rank) {
             assignments[p as usize] = Assignment::Core(cluster);
         }
     }
     let threads = exec.pool.threads();
-    let queue = WorkQueue::new(cc.grid.cells().iter().map(|c| c.len() as u64), threads);
+    let queue = WorkQueue::new(
+        (0..cc.grid.num_cells() as u32).map(|cell| cc.non_core_points(cell).len() as u64),
+        threads,
+    );
     // Per-worker buffers of (border point, adjacent cluster ids) pairs.
     type BorderOut = Vec<(u32, Vec<u32>)>;
     let slots: Vec<Mutex<BorderOut>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
@@ -720,17 +790,14 @@ fn assemble<const D: usize, S: StatsSink>(
         &queue,
         Vec::new,
         |out: &mut BorderOut, _, cell| {
-            for &p in cc.grid.points_of(cell) {
-                if cc.is_core[p as usize] {
-                    continue;
-                }
+            for &p in cc.non_core_points(cell) {
                 let clusters = assign_border_clusters(points, cc, &component_of_rank, p);
                 if !clusters.is_empty() {
                     out.push((p, clusters));
                 }
             }
         },
-        |cell| cc.grid.cell_population(cell) as u64,
+        |cell| cc.non_core_points(cell).len() as u64,
         |w, out| *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = out,
     )?;
     for slot in slots {
@@ -924,12 +991,7 @@ mod tests {
         let p = params(1.2, 4);
         let cc = CoreCells::build(&pts, p);
         let edge = |r1: usize, r2: usize| {
-            bcp::within_threshold_brute(
-                &pts,
-                &cc.core_points_of[r1],
-                &cc.core_points_of[r2],
-                p.eps(),
-            )
+            bcp::within_threshold_brute(&pts, cc.core_points(r1), cc.core_points(r2), p.eps())
         };
         let mut seq_uf = connect_with(&pts, &cc, 1, edge);
         let mut par_uf = connect_with(&pts, &cc, 4, edge);

@@ -52,6 +52,8 @@ pub enum EventName {
     PhaseUnionFind,
     PhaseBorderAssign,
     PhaseTotal,
+    /// One claimed grid-build task (an id or cell range of one pass).
+    TaskGrid,
     /// One claimed labeling task (a grid cell).
     TaskLabeling,
     /// One claimed edge task (a core cell's candidate-pair bundle).
@@ -74,7 +76,7 @@ pub enum EventName {
 }
 
 impl EventName {
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 17;
 
     /// The span name recording a [`Phase`] measurement.
     pub fn of_phase(p: Phase) -> EventName {
@@ -107,6 +109,7 @@ impl EventName {
             EventName::PhaseUnionFind => "union_find",
             EventName::PhaseBorderAssign => "border_assign",
             EventName::PhaseTotal => "total",
+            EventName::TaskGrid => "task_grid",
             EventName::TaskLabeling => "task_labeling",
             EventName::TaskEdge => "task_edge",
             EventName::TaskBorder => "task_border",
@@ -127,9 +130,10 @@ impl EventName {
     /// JSON keys of the two packed `u32` args, for the Chrome exporter.
     pub(crate) fn arg_keys(self) -> [Option<&'static str>; 2] {
         match self {
-            EventName::TaskLabeling | EventName::TaskEdge | EventName::TaskBorder => {
-                [Some("task"), Some("payload")]
-            }
+            EventName::TaskGrid
+            | EventName::TaskLabeling
+            | EventName::TaskEdge
+            | EventName::TaskBorder => [Some("task"), Some("payload")],
             EventName::Steal => [Some("task"), Some("home")],
             EventName::UfCasRetries => [Some("task"), Some("retries")],
             EventName::WorkerPanic => [Some("task"), None],
@@ -147,6 +151,7 @@ impl EventName {
             EventName::PhaseUnionFind,
             EventName::PhaseBorderAssign,
             EventName::PhaseTotal,
+            EventName::TaskGrid,
             EventName::TaskLabeling,
             EventName::TaskEdge,
             EventName::TaskBorder,

@@ -191,3 +191,58 @@ fn steal_delays_alone_do_not_change_the_result() {
     assert_eq!(stats.report().counter(Counter::WorkerPanics), 0);
     assert_eq!(stats.report().counter(Counter::SequentialFallbacks), 0);
 }
+
+#[test]
+fn grid_build_panics_follow_the_recovery_policy() {
+    let pts = dataset();
+    let p = params(1.0, 4);
+    let seq = grid_exact(&pts, p);
+    let faults = FaultPlan::new(3).with_panic(FaultSite::Grid, 1.0);
+    let stats = Stats::new();
+    let err = try_grid_exact_par_instrumented(
+        &pts,
+        p,
+        &config(RecoveryPolicy::Fail, faults.clone()),
+        &stats,
+    )
+    .unwrap_err();
+    match &err {
+        DbscanError::WorkerPanicked { phase, payload, .. } => {
+            assert_eq!(phase, "grid_build");
+            assert!(
+                payload.contains("injected fault: grid"),
+                "payload: {payload}"
+            );
+        }
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+    assert!(stats.report().counter(Counter::WorkerPanics) >= 1);
+
+    // Under fallback-sequential the rerun is bit-identical to the unfaulted
+    // sequential run, for both grid algorithms.
+    let stats = Stats::new();
+    let out = try_grid_exact_par_instrumented(
+        &pts,
+        p,
+        &config(RecoveryPolicy::FallbackSequential, faults.clone()),
+        &stats,
+    )
+    .expect("fallback must absorb the grid-build panic");
+    assert_eq!(out.assignments, seq.assignments);
+    assert_eq!(out.num_clusters, seq.num_clusters);
+    assert_eq!(stats.report().counter(Counter::SequentialFallbacks), 1);
+    let rho = 0.01;
+    let exec = config(RecoveryPolicy::FallbackSequential, faults.clone());
+    let out = run_approx(&pts, p, rho, exec, &Stats::new()).unwrap();
+    assert_eq!(out.assignments, rho_approx(&pts, p, rho).assignments);
+
+    // A sequential run is the one-thread pool, so its grid tasks are fault
+    // sites too.
+    let mut one = config(RecoveryPolicy::Fail, faults);
+    one.threads = Some(1);
+    let err = try_grid_exact_par_instrumented(&pts, p, &one, &Stats::new()).unwrap_err();
+    assert!(
+        matches!(&err, DbscanError::WorkerPanicked { phase, .. } if phase == "grid_build"),
+        "unexpected error: {err:?}"
+    );
+}

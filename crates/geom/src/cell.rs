@@ -61,6 +61,17 @@ impl fmt::Display for CellError {
 
 impl std::error::Error for CellError {}
 
+/// `x.floor() as i64` for every `f64` (saturating, NaN to 0) without a
+/// `floor` call: on the baseline x86-64 target `f64::floor` is a libm call,
+/// which made it most of the cost of bucketing a point. Truncation is exact
+/// for `|x| < 2^63` and rounds toward zero, so only a negative non-integer
+/// needs the step down.
+#[inline]
+fn floor_i64(x: f64) -> i64 {
+    let t = x as i64;
+    t.saturating_sub(i64::from(t as f64 > x))
+}
+
 /// Integer coordinates of a grid cell, for a grid anchored at the origin.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct CellCoord<const D: usize>(pub [i64; D]);
@@ -80,7 +91,7 @@ impl<const D: usize> CellCoord<D> {
         debug_assert!(side > 0.0, "cell side must be positive");
         let mut c = [0i64; D];
         for i in 0..D {
-            c[i] = (p[i] / side).floor() as i64;
+            c[i] = floor_i64(p[i] / side);
         }
         CellCoord(c)
     }
@@ -97,8 +108,10 @@ impl<const D: usize> CellCoord<D> {
         let limit = MAX_ABS_CELL_COORD as f64;
         let mut c = [0i64; D];
         for i in 0..D {
-            let q = (p[i] / side).floor();
-            // The negated comparison also rejects NaN coordinates.
+            let q = p[i] / side;
+            // `limit` is 2^61 and no `f64` lies in (2^61, 2^61 + 1), so `q`
+            // is in range exactly when its floor is. The negated comparison
+            // also rejects NaN.
             if !(-limit..=limit).contains(&q) {
                 return Err(CellError::Overflow {
                     dim: i,
@@ -106,7 +119,7 @@ impl<const D: usize> CellCoord<D> {
                     side,
                 });
             }
-            c[i] = q as i64;
+            c[i] = floor_i64(q);
         }
         Ok(CellCoord(c))
     }
@@ -179,6 +192,54 @@ impl<const D: usize> CellCoord<D> {
 mod tests {
     use super::*;
     use crate::point::p2;
+
+    #[test]
+    fn floor_i64_matches_floor_then_cast_everywhere() {
+        let two = |k: i32| 2f64.powi(k);
+        // The neighbours of a positive finite `x`.
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for k in [0, 1, 52, 53, 61, 62, 63, 64] {
+            for x in [two(k), two(k) + 0.5, two(k) - 0.5] {
+                xs.extend([x, -x, up(x), down(x), -up(x), -down(x)]);
+            }
+        }
+        for x in xs.iter().copied().chain((-40..40).map(|i| i as f64 * 0.37)) {
+            assert_eq!(floor_i64(x), x.floor() as i64, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn try_of_range_is_the_floor_range() {
+        // In range exactly when the floor is within ±2^61.
+        let limit = MAX_ABS_CELL_COORD as f64;
+        for (x, ok) in [
+            (limit, true),
+            (f64::from_bits(limit.to_bits() + 1), false),
+            (-limit, true),
+            (-f64::from_bits(limit.to_bits() + 1), false),
+            (-f64::from_bits(limit.to_bits() - 1), true),
+        ] {
+            let got = CellCoord::try_of(&p2(x, 0.0), 1.0);
+            assert_eq!(got.is_ok(), ok, "x = {x:e}");
+            if ok {
+                assert_eq!(got.unwrap().0[0], x.floor() as i64, "x = {x:e}");
+            }
+        }
+    }
 
     #[test]
     fn of_uses_floor_for_negatives() {

@@ -61,8 +61,8 @@ impl<'a, const D: usize> SoaBlock<'a, D> {
         SoaBlock { lanes }
     }
 
-    /// Gathers `points[ids[j]]` into fresh owned lanes (used for per-cell
-    /// core-point storage and by tests). Returns the contiguous buffer for
+    /// Gathers `points[ids[j]]` into fresh owned lanes, for tests and
+    /// benchmarks of the kernels. Returns the contiguous buffer for
     /// [`SoaBlock::from_contiguous`].
     pub fn gather(points: &[Point<D>], ids: &[u32]) -> Vec<f64> {
         let mut data = Vec::with_capacity(ids.len() * D);

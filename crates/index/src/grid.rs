@@ -8,20 +8,43 @@
 //! instead find non-empty neighbors with a kd-tree over cell centers — the lists
 //! only ever contain cells that actually exist.
 //!
-//! Point storage is structure-of-arrays: a single counting-sort pass groups the
-//! point ids by cell into one global array (no per-cell `Vec` growth) and
-//! scatters the coordinates into one contiguous `f64` lane per dimension per
-//! cell, so neighborhood scans run the blocked kernels of
+//! Point storage is structure-of-arrays: the point ids grouped by cell in one
+//! global array (no per-cell `Vec` growth), and one contiguous `f64` lane per
+//! dimension per cell, so neighborhood scans run the blocked kernels of
 //! [`dbscan_geom::kernels`] over unit-stride data.
+//!
+//! # Chunked build
+//!
+//! [`GridIndex::try_build_chunked`] builds the grid in passes of `chunks`
+//! independent tasks, which a caller-supplied runner may execute on any
+//! threads ([`GridIndex::try_build`] is the one-chunk case, run inline):
+//!
+//! 1. *bucket*: each task computes the cell of every point of one contiguous
+//!    id range, with a last-cell memo (consecutive points usually share a
+//!    cell) in front of a chunk-local hash map;
+//! 2. *merge* (on the caller): cells are numbered in global first-occurrence
+//!    order — chunk by chunk, each chunk's cells in its own first-occurrence
+//!    order — and per-(chunk, cell) prefix sums give every chunk a disjoint
+//!    sub-slice of each of its cells' id ranges, earlier chunks first;
+//! 3. *scatter*: each task writes its ids into those sub-slices (so ids stay
+//!    ascending within a cell) and rewrites its points' chunk-local cell
+//!    numbers to global ones;
+//! 4. *fill*: each task owns a contiguous range of cells, about `n / chunks`
+//!    points, and gathers their coordinates into the cells' lanes.
+//!
+//! Every task writes only through `split_at_mut` sub-slices handed to it, so
+//! the result is the same at every chunk count, bit for bit.
 
 use crate::error::{check_budget, BuildError};
 use crate::kdtree::KdTree;
 use dbscan_geom::kernels::{self, SoaBlock};
-use dbscan_geom::{CellCoord, FastHashMap, Point};
-use std::mem::size_of;
+use dbscan_geom::{CellCoord, CellError, FastHashMap, Point};
+use std::mem::{size_of, take};
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// One non-empty grid cell: its integer coordinates and the range it owns in
-/// the grid's counting-sorted point-id array and SoA coordinate lanes.
+/// the grid's point-id array and SoA coordinate lanes.
 pub struct Cell<const D: usize> {
     pub coord: CellCoord<D>,
     start: u32,
@@ -45,8 +68,9 @@ pub struct GridIndex<const D: usize> {
     eps: f64,
     side: f64,
     cells: Vec<Cell<D>>,
-    /// Point ids grouped by cell (counting sort order): cell `c` owns
-    /// `point_ids[c.start .. c.start + c.len]`, ids ascending within a cell.
+    /// Point ids grouped by cell: cell `c` owns
+    /// `point_ids[c.start .. c.start + c.len]`, ids ascending within a cell
+    /// until [`GridIndex::partition_cells`] reorders them.
     point_ids: Vec<u32>,
     /// SoA coordinate lanes, one contiguous `len*D`-float region per cell
     /// starting at `start*D`; within it, lane `d` spans `[d*len, (d+1)*len)`.
@@ -62,6 +86,119 @@ pub struct GridIndex<const D: usize> {
     /// floating-point rounding of the side length; when rounding makes the cell
     /// diagonal marginally exceed ε we fall back to explicit distance checks).
     same_cell_within_eps: bool,
+}
+
+/// The runner of [`GridIndex::try_build`]: every task inline, in order.
+fn run_inline(tasks: usize, task: &(dyn Fn(usize) + Sync)) -> Result<(), BuildError> {
+    (0..tasks).for_each(task);
+    Ok(())
+}
+
+/// Runs `f` on every item of `work` — item `t` as task `t` of one `run`
+/// call — and returns the outputs in item order. `run` must run every task
+/// before it returns `Ok`.
+fn run_chunks<W: Send, O: Send, E>(
+    run: &impl Fn(usize, &(dyn Fn(usize) + Sync)) -> Result<(), E>,
+    work: Vec<W>,
+    f: impl Fn(W) -> O + Sync,
+) -> Result<Vec<O>, E> {
+    let slots: Vec<Mutex<(Option<W>, Option<O>)>> = work
+        .into_iter()
+        .map(|w| Mutex::new((Some(w), None)))
+        .collect();
+    // A slot is only ever (work, none), (none, none) or (none, output), so
+    // a guard poisoned by a panicking task still holds a valid slot.
+    let lock = |t: usize| slots[t].lock().unwrap_or_else(PoisonError::into_inner);
+    run(slots.len(), &|t| {
+        let work = lock(t).0.take();
+        if let Some(w) = work {
+            let out = f(w);
+            lock(t).1 = Some(out);
+        }
+    })?;
+    Ok(slots
+        .into_iter()
+        .map(|s| {
+            let (_, out) = s.into_inner().unwrap_or_else(PoisonError::into_inner);
+            out.expect("a chunk runner must run every task")
+        })
+        .collect())
+}
+
+/// One bucket task's result: its cells in first-occurrence order with their
+/// point counts in the chunk, and the map that numbered them.
+struct Buckets<const D: usize> {
+    cells: Vec<(CellCoord<D>, u32)>,
+    map: FastHashMap<CellCoord<D>, u32>,
+}
+
+/// Buckets the points of one chunk: writes each point's chunk-local cell
+/// number into `local`. Stops at the chunk's first unrepresentable
+/// coordinate, which is its lowest offending id.
+fn bucket<const D: usize>(
+    points: &[Point<D>],
+    side: f64,
+    local: &mut [u32],
+) -> Result<Buckets<D>, CellError> {
+    let mut map: FastHashMap<CellCoord<D>, u32> = FastHashMap::default();
+    let mut cells: Vec<(CellCoord<D>, u32)> = Vec::new();
+    let mut last: Option<(CellCoord<D>, u32)> = None;
+    for (p, slot) in points.iter().zip(local.iter_mut()) {
+        let coord = CellCoord::try_of(p, side)?;
+        let idx = match last {
+            Some((c, idx)) if c == coord => idx,
+            _ => {
+                let idx = *map.entry(coord).or_insert_with(|| {
+                    cells.push((coord, 0));
+                    (cells.len() - 1) as u32
+                });
+                last = Some((coord, idx));
+                idx
+            }
+        };
+        cells[idx as usize].1 += 1;
+        *slot = idx;
+    }
+    Ok(Buckets { cells, map })
+}
+
+/// Id range of chunk `t` of `chunks` over `n` points.
+fn chunk_range(n: usize, chunks: usize, t: usize) -> Range<usize> {
+    n * t / chunks..n * (t + 1) / chunks
+}
+
+/// Splits `cells` into `tasks` contiguous ranges of about `n / tasks` points
+/// each (a cell is never split).
+fn balanced_cell_ranges<const D: usize>(
+    cells: &[Cell<D>],
+    n: usize,
+    tasks: usize,
+) -> Vec<Range<usize>> {
+    let mut lo = 0;
+    (1..=tasks)
+        .map(|t| {
+            let target = n * t / tasks;
+            let hi = cells
+                .partition_point(|c| (c.start as usize) < target)
+                .max(lo);
+            let r = lo..if t == tasks { cells.len() } else { hi };
+            lo = r.end;
+            r
+        })
+        .collect()
+}
+
+/// Splits off the first `len` elements of `*rest`.
+fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+/// The `D` lanes of one cell's `len`-point SoA region.
+fn lanes_of<const D: usize>(region: &mut [f64], len: usize) -> [&mut [f64]; D] {
+    let mut lanes = region.chunks_exact_mut(len);
+    std::array::from_fn(|_| lanes.next().expect("a region holds D lanes"))
 }
 
 impl<const D: usize> GridIndex<D> {
@@ -88,75 +225,111 @@ impl<const D: usize> GridIndex<D> {
         Self::try_build(points, eps, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`GridIndex::build`].
+    /// Fallible twin of [`GridIndex::build`]: [`GridIndex::try_build_chunked`]
+    /// with one chunk, run inline.
     ///
     /// Rejects, with a typed [`BuildError`] instead of a panic or a silent
     /// wrap: non-positive/non-finite `eps` (which would produce a degenerate
     /// cell side), coordinates whose integer cell index overflows `i64`
-    /// (today's `as i64` saturation silently merges distant points into one
-    /// boundary cell), and — when `max_bytes` is given — builds whose
-    /// estimated footprint (point buckets, SoA lanes, cell table, kd-tree
-    /// over centers, neighbor lists) exceeds the budget, *before* the large
-    /// allocations happen.
+    /// (an `as i64` saturation would silently merge distant points into one
+    /// boundary cell; a NaN coordinate is refused the same way), and — when
+    /// `max_bytes` is given — builds whose estimated footprint (point
+    /// buckets, SoA lanes, cell table, kd-tree over centers, neighbor lists)
+    /// exceeds the budget, *before* the large allocations happen.
     pub fn try_build(
         points: &[Point<D>],
         eps: f64,
         max_bytes: Option<u64>,
     ) -> Result<Self, BuildError> {
+        Self::try_build_chunked(points, eps, max_bytes, 1, run_inline)
+    }
+
+    /// [`GridIndex::try_build`] in `chunks` tasks per pass (see the module
+    /// docs). `run(tasks, task)` must call `task(t)` exactly once for every
+    /// `t` in `0..tasks` — on any threads, in any order — before it returns
+    /// `Ok`, or return `Err` to abandon the build; it is called once per
+    /// pass. The grid, and a refusal, are the same at every chunk count: an
+    /// unrepresentable coordinate is reported for the lowest offending id.
+    pub fn try_build_chunked<E: From<BuildError>>(
+        points: &[Point<D>],
+        eps: f64,
+        max_bytes: Option<u64>,
+        chunks: usize,
+        run: impl Fn(usize, &(dyn Fn(usize) + Sync)) -> Result<(), E>,
+    ) -> Result<Self, E> {
         if !(eps > 0.0 && eps.is_finite()) {
             // Surface the same wording as the historical `assert!`: the side
             // is bad because eps is.
-            return Err(BuildError::Cell(dbscan_geom::CellError::BadSide {
+            return Err(BuildError::Cell(CellError::BadSide {
                 side: dbscan_geom::grid::base_side::<D>(eps),
-            }));
+            })
+            .into());
         }
         let side = dbscan_geom::grid::base_side::<D>(eps);
+        let chunks = chunks.max(1);
 
         // Fixed per-point cost of the bucketing phase: one u32 each in
         // `cell_of_point` and `point_ids`, plus D f64 coordinate lanes.
-        let n = points.len() as u64;
+        let n = points.len();
         let per_point = (8 + 8 * D) as u64;
-        check_budget("grid index", n.saturating_mul(per_point), max_bytes)?;
+        check_budget(
+            "grid index",
+            (n as u64).saturating_mul(per_point),
+            max_bytes,
+        )?;
 
-        // Counting-sort build, pass 1: discover cells and count occupancy.
-        let mut map: FastHashMap<CellCoord<D>, u32> = FastHashMap::default();
-        let mut cells: Vec<Cell<D>> = Vec::new();
-        let mut cell_of_point = Vec::with_capacity(points.len());
-        for p in points {
-            let coord = CellCoord::try_of(p, side)?;
-            let idx = *map.entry(coord).or_insert_with(|| {
-                cells.push(Cell {
-                    coord,
-                    start: 0,
-                    len: 0,
-                });
-                (cells.len() - 1) as u32
-            });
-            cells[idx as usize].len += 1;
-            cell_of_point.push(idx);
+        // Pass 1, bucket: chunk-local cell numbers go into `cell_of_point`.
+        let mut cell_of_point = vec![0u32; n];
+        let mut rest = &mut cell_of_point[..];
+        let work: Vec<_> = (0..chunks)
+            .map(|t| {
+                let r = chunk_range(n, chunks, t);
+                (&points[r.clone()], split_front(&mut rest, r.len()))
+            })
+            .collect();
+        let mut buckets = run_chunks(&run, work, |(pts, local)| bucket(pts, side, local))?
+            .into_iter()
+            .collect::<Result<Vec<Buckets<D>>, CellError>>()
+            .map_err(BuildError::Cell)?;
+
+        // Merge: number cells in global first-occurrence order. Chunk 0's
+        // numbering is already global, and its map grows into the global one.
+        let mut map = take(&mut buckets[0].map);
+        let mut cells: Vec<Cell<D>> = buckets[0]
+            .cells
+            .iter()
+            .map(|&(coord, len)| Cell {
+                coord,
+                start: 0,
+                len,
+            })
+            .collect();
+        let mut global_of: Vec<Vec<u32>> = vec![(0..cells.len() as u32).collect()];
+        for b in &mut buckets[1..] {
+            drop(take(&mut b.map));
+            let global = b
+                .cells
+                .iter()
+                .map(|&(coord, count)| {
+                    let g = *map.entry(coord).or_insert_with(|| {
+                        cells.push(Cell {
+                            coord,
+                            start: 0,
+                            len: 0,
+                        });
+                        (cells.len() - 1) as u32
+                    });
+                    cells[g as usize].len += count;
+                    g
+                })
+                .collect();
+            global_of.push(global);
         }
-        // Prefix sums assign each cell its range.
+        drop(map);
         let mut running = 0u32;
         for cell in &mut cells {
             cell.start = running;
             running += cell.len;
-        }
-        // Pass 2: scatter ids and coordinates. The scan over points is in
-        // ascending id order, so ids within a cell come out ascending.
-        let mut point_ids = vec![0u32; points.len()];
-        let mut soa = vec![0.0f64; points.len() * D];
-        let mut cursor: Vec<u32> = cells.iter().map(|c| c.start).collect();
-        for (i, p) in points.iter().enumerate() {
-            let c = cell_of_point[i] as usize;
-            let pos = cursor[c] as usize;
-            cursor[c] += 1;
-            point_ids[pos] = i as u32;
-            let cell = &cells[c];
-            let (s, l) = (cell.start as usize, cell.len as usize);
-            let local = pos - s;
-            for d in 0..D {
-                soa[s * D + d * l + local] = p[d];
-            }
         }
 
         // The neighbor-discovery phase allocates per *cell*: a center point,
@@ -164,10 +337,76 @@ impl<const D: usize> GridIndex<D> {
         // neighbor lists themselves, accounted incrementally below.
         let m = cells.len() as u64;
         let per_cell = (size_of::<Cell<D>>() + size_of::<Point<D>>() + 48 + 8) as u64;
-        let fixed_bytes = n
+        let fixed_bytes = (n as u64)
             .saturating_mul(per_point)
             .saturating_add(m.saturating_mul(per_cell));
         check_budget("grid index", fixed_bytes, max_bytes)?;
+
+        // Pass 2, scatter: each (chunk, cell) pair gets the next `count` ids
+        // of the cell's range, chunks in order.
+        let mut point_ids = vec![0u32; n];
+        let mut cell_rest: Vec<&mut [u32]> = Vec::with_capacity(cells.len());
+        let mut rest = &mut point_ids[..];
+        for cell in &cells {
+            cell_rest.push(split_front(&mut rest, cell.len()));
+        }
+        let mut rest = &mut cell_of_point[..];
+        let work: Vec<_> = buckets
+            .iter()
+            .zip(global_of)
+            .enumerate()
+            .map(|(t, (b, global))| {
+                let r = chunk_range(n, chunks, t);
+                let targets: Vec<&mut [u32]> = b
+                    .cells
+                    .iter()
+                    .zip(&global)
+                    .map(|(&(_, count), &g)| {
+                        split_front(&mut cell_rest[g as usize], count as usize)
+                    })
+                    .collect();
+                (r.start, split_front(&mut rest, r.len()), targets, global)
+            })
+            .collect();
+        drop(buckets);
+        run_chunks(&run, work, |(lo, local, mut targets, global)| {
+            for (i, slot) in (lo as u32..).zip(local.iter_mut()) {
+                let l = *slot as usize;
+                *split_front(&mut targets[l], 1)
+                    .first_mut()
+                    .expect("counted") = i;
+                *slot = global[l];
+            }
+        })?;
+        drop(cell_rest);
+
+        // Pass 3, fill: each task gathers the coordinates of a range of cells.
+        let mut soa = vec![0.0f64; n * D];
+        let (mut rest, mut ids_rest) = (&mut soa[..], &point_ids[..]);
+        let work: Vec<_> = balanced_cell_ranges(&cells, n, chunks)
+            .into_iter()
+            .map(|r| {
+                let cs = &cells[r];
+                let len: usize = cs.iter().map(Cell::len).sum();
+                let (ids, tail) = ids_rest.split_at(len);
+                ids_rest = tail;
+                (cs, ids, split_front(&mut rest, len * D))
+            })
+            .collect();
+        run_chunks(&run, work, |(cs, mut ids, mut soa)| {
+            for cell in cs {
+                let len = cell.len();
+                let (cell_ids, tail) = ids.split_at(len);
+                ids = tail;
+                let lanes = lanes_of::<D>(split_front(&mut soa, len * D), len);
+                for (j, &id) in cell_ids.iter().enumerate() {
+                    let p = &points[id as usize];
+                    for d in 0..D {
+                        lanes[d][j] = p[d];
+                    }
+                }
+            }
+        })?;
 
         // Discover non-empty ε-neighbors via a kd-tree over cell centers. Two
         // cells with min-distance ≤ ε have centers within ε + diagonal = 2ε
@@ -217,6 +456,76 @@ impl<const D: usize> GridIndex<D> {
         })
     }
 
+    /// Stably moves, within every cell, the points for which `first(id)`
+    /// holds ahead of the others, reordering the cell's ids and SoA lanes
+    /// together, and returns per cell how many such points it has. The ids of
+    /// each part stay in their previous order. Runs one pass of `chunks`
+    /// tasks through `run`, under the contract of
+    /// [`GridIndex::try_build_chunked`]; cells that need no move cost one
+    /// `first` call per point.
+    pub fn partition_cells<E>(
+        &mut self,
+        first: impl Fn(u32) -> bool + Sync,
+        chunks: usize,
+        run: impl Fn(usize, &(dyn Fn(usize) + Sync)) -> Result<(), E>,
+    ) -> Result<Vec<u32>, E> {
+        let mut counts = vec![0u32; self.cells.len()];
+        let (mut ids_rest, mut soa_rest) = (&mut self.point_ids[..], &mut self.soa[..]);
+        let mut counts_rest = &mut counts[..];
+        let work: Vec<_> =
+            balanced_cell_ranges(&self.cells, self.cell_of_point.len(), chunks.max(1))
+                .into_iter()
+                .map(|r| {
+                    let cs = &self.cells[r];
+                    let len: usize = cs.iter().map(Cell::len).sum();
+                    (
+                        cs,
+                        split_front(&mut ids_rest, len),
+                        split_front(&mut soa_rest, len * D),
+                        split_front(&mut counts_rest, cs.len()),
+                    )
+                })
+                .collect();
+        run_chunks(&run, work, |(cs, mut ids, mut soa, counts)| {
+            let (mut kept_ids, mut kept_xs) = (Vec::new(), Vec::new());
+            for (cell, count) in cs.iter().zip(counts) {
+                let len = cell.len();
+                let cell_ids = split_front(&mut ids, len);
+                let region = split_front(&mut soa, len * D);
+                let Some(f) = cell_ids.iter().position(|&p| !first(p)) else {
+                    *count = len as u32;
+                    continue;
+                };
+                // Points from `f` on: `first` ones slide down to `k`, the
+                // others wait in `kept_*` and go after them.
+                kept_ids.clear();
+                kept_xs.clear();
+                let mut k = f;
+                for j in f..len {
+                    let id = cell_ids[j];
+                    if first(id) {
+                        cell_ids[k] = id;
+                        for d in 0..D {
+                            region[d * len + k] = region[d * len + j];
+                        }
+                        k += 1;
+                    } else {
+                        kept_ids.push(id);
+                        kept_xs.extend((0..D).map(|d| region[d * len + j]));
+                    }
+                }
+                cell_ids[k..].copy_from_slice(&kept_ids);
+                for (j, xs) in (k..).zip(kept_xs.chunks_exact(D)) {
+                    for d in 0..D {
+                        region[d * len + j] = xs[d];
+                    }
+                }
+                *count = k as u32;
+            }
+        })?;
+        Ok(counts)
+    }
+
     /// The radius the grid was built for.
     pub fn eps(&self) -> f64 {
         self.eps
@@ -243,7 +552,8 @@ impl<const D: usize> GridIndex<D> {
         self.cells[cell_idx as usize].len()
     }
 
-    /// Ids of the points in cell `cell_idx`, ascending.
+    /// Ids of the points in cell `cell_idx`: ascending after the build, and
+    /// ascending within each part after [`GridIndex::partition_cells`].
     pub fn points_of(&self, cell_idx: u32) -> &[u32] {
         let c = &self.cells[cell_idx as usize];
         &self.point_ids[c.start as usize..(c.start + c.len) as usize]
@@ -368,7 +678,7 @@ mod tests {
             }
             seen += ids.len();
         }
-        assert_eq!(seen, pts.len(), "counting sort is a permutation");
+        assert_eq!(seen, pts.len(), "the build is a permutation");
     }
 
     #[test]

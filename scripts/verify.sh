@@ -50,6 +50,9 @@ grep -q '"name":"steal"' "$trace_json"
 echo "== fault-injection: cargo test -p dbscan-server --features fault-injection -q =="
 cargo test -p dbscan-server --features fault-injection -q
 
+echo "== fault-injection: cargo test -p dbscan-cli --features fault-injection -q =="
+cargo test -p dbscan-cli --features fault-injection -q
+
 echo "== server: daemon + loadgen + telemetry smoke =="
 # A fault-injection daemon serves a 16-job concurrent burst that includes one
 # fault-seeded job (worker panic -> typed error, tenant isolation) and one
@@ -207,6 +210,11 @@ echo "== labels: bit-identity against BENCH_labels.txt =="
 # that pin both rho-approximate oracles. Any drift here is a correctness bug,
 # not noise — there is no tolerance. The run takes well under a second.
 ./target/release/repro labels | grep '^labels ' | diff BENCH_labels.txt -
+
+echo "== perfbench: cargo test --release --offline (its own workspace) =="
+# perfbench is not a workspace member, so the tier-1 test run above never
+# builds or tests it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "${VERIFY_BENCH:-0}" == "1" ]]; then
     echo "== bench: repro bench baseline (VERIFY_BENCH=1) =="
