@@ -294,6 +294,26 @@ fn gunawan2d_rejects_non_2d_input() {
     std::fs::remove_file(&input).ok();
 }
 
+/// Dimensionality above the supported 1-8 is a data error naming the bound.
+#[test]
+fn nine_column_csv_is_refused() {
+    let input = tmp("nine.csv");
+    std::fs::write(&input, "1,2,3,4,5,6,7,8,9\n2,3,4,5,6,7,8,9,10\n").unwrap();
+    let out = bin()
+        .arg("--input")
+        .arg(&input)
+        .args(["--eps", "1", "--min-pts", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        err.trim_end(),
+        "error: unsupported dimensionality 9 (1-8 supported)"
+    );
+    std::fs::remove_file(&input).ok();
+}
+
 #[test]
 fn bad_usage_exits_2() {
     let status = bin().arg("--eps").arg("1.0").status().unwrap();

@@ -534,3 +534,33 @@ fn invalid_requests_get_typed_errors() {
     handle.shutdown();
     handle.wait();
 }
+
+/// Admission bounds the dimensionality to 1-8: a 9-D point set and a 0-D
+/// one (an empty first point) are typed `bad_request`s.
+#[test]
+fn out_of_range_dimensionality_is_a_bad_request() {
+    let _g = lock();
+    let (handle, mut client) = tcp_server(|_| {});
+    for (dim, message) in [
+        (9, "unsupported dimensionality 9 (1-8)"),
+        (0, "unsupported dimensionality 0 (1-8)"),
+    ] {
+        let point = Value::Arr((0..dim).map(|c| Value::Num(c as f64)).collect());
+        let resp = client
+            .call(&obj(vec![
+                ("verb", Value::Str("submit".to_string())),
+                ("points", Value::Arr(vec![point.clone(), point])),
+                ("eps", Value::Num(EPS)),
+                ("min_pts", Value::Num(MIN_PTS as f64)),
+            ]))
+            .expect("submit call");
+        let error = resp.get("error").expect("refused");
+        assert_eq!(
+            error.get("code").and_then(Value::as_str),
+            Some("bad_request")
+        );
+        assert_eq!(error.get("message").and_then(Value::as_str), Some(message));
+    }
+    handle.shutdown();
+    handle.wait();
+}
