@@ -119,11 +119,12 @@
 use dbscan_core::algorithms::{
     self, Algorithm, ApproxOracle, BcpStrategy, Cit08Config, Kdd96Index, Spec,
 };
+use dbscan_core::dim::MAX_DIM;
 use dbscan_core::parallel::ParConfig;
 use dbscan_core::{
-    chrome_trace_json, folded_stacks, parse_duration, Clustering, DbscanParams, DeadlineConfig,
-    DeadlinePolicy, DeadlineReport, FaultPlan, NoStats, RecoveryPolicy, ResourceLimits, RunCtl,
-    Stats, StatsSink, TracedStats, Tracer,
+    parse_duration, with_dim, Clustering, DbscanParams, DeadlineConfig, DeadlinePolicy,
+    DeadlineReport, FaultPlan, NoStats, RecoveryPolicy, ResourceLimits, RunCtl, Stats, StatsSink,
+    TraceFormat, TracedStats, Tracer,
 };
 use dbscan_datagen::io::{points_from_flat, read_csv_dynamic};
 use dbscan_geom::Point;
@@ -132,13 +133,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum TraceFormat {
-    #[default]
-    Chrome,
-    Folded,
-}
 
 #[derive(Debug)]
 struct Args {
@@ -290,14 +284,10 @@ fn parse_args() -> Args {
             "--stats-out" => stats_out = Some(PathBuf::from(value("--stats-out"))),
             "--trace" => trace = Some(PathBuf::from(value("--trace"))),
             "--trace-format" => {
-                trace_format = match value("--trace-format").as_str() {
-                    "chrome" => TraceFormat::Chrome,
-                    "folded" => TraceFormat::Folded,
-                    other => {
-                        eprintln!("--trace-format: expected 'chrome' or 'folded', got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
+                trace_format = value("--trace-format").parse().unwrap_or_else(|e| {
+                    eprintln!("--trace-format: {e}");
+                    std::process::exit(2);
+                })
             }
             "--output" => output = Some(PathBuf::from(value("--output"))),
             "--svg" => svg = Some(PathBuf::from(value("--svg"))),
@@ -537,11 +527,7 @@ fn run<const D: usize>(args: &Args, flat: &[f64]) -> Result<(), String> {
         };
         let ts = TracedStats::new(lanes);
         cluster(args, &points, params, &ts, &ctl).and_then(|clustering| {
-            let snap = ts.tracer.snapshot();
-            let rendered = match args.trace_format {
-                TraceFormat::Chrome => chrome_trace_json(&snap),
-                TraceFormat::Folded => folded_stacks(&snap),
-            };
+            let (rendered, _) = args.trace_format.render(&ts.tracer.snapshot(), usize::MAX);
             write_atomic(trace_path, rendered.as_bytes())
                 .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
             if want_stats {
@@ -823,17 +809,11 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let result = match dim {
-        1 => run::<1>(&args, &flat),
-        2 => run::<2>(&args, &flat),
-        3 => run::<3>(&args, &flat),
-        4 => run::<4>(&args, &flat),
-        5 => run::<5>(&args, &flat),
-        6 => run::<6>(&args, &flat),
-        7 => run::<7>(&args, &flat),
-        8 => run::<8>(&args, &flat),
-        d => Err(format!("unsupported dimensionality {d} (1-8 supported)")),
-    };
+    let result = with_dim!(dim, D => run::<D>(&args, &flat)).unwrap_or_else(|| {
+        Err(format!(
+            "unsupported dimensionality {dim} (1-{MAX_DIM} supported)"
+        ))
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -3,9 +3,51 @@
 //! (pipe into `flamegraph.pl` or inferno).
 //!
 //! Both operate on a decoded [`TraceSnapshot`], so they are pure functions
-//! of recorded data — no clocks, no I/O.
+//! of recorded data — no clocks, no I/O. [`TraceFormat`] picks one by the
+//! name the CLI and the daemon accept.
 
 use super::{TraceEvent, TraceSnapshot};
+use std::str::FromStr;
+
+/// A trace rendering, by its front-end name.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum TraceFormat {
+    /// Chrome trace-event JSON ([`chrome_trace_json_capped`]).
+    #[default]
+    Chrome,
+    /// Folded flamegraph stacks ([`folded_stacks`]).
+    Folded,
+}
+
+impl TraceFormat {
+    /// `"chrome"` or `"folded"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            TraceFormat::Chrome => "chrome",
+            TraceFormat::Folded => "folded",
+        }
+    }
+
+    /// Renders `snap` within `max_bytes` (`usize::MAX`: uncapped); the second
+    /// value counts the events or lines the cap cut.
+    pub fn render(self, snap: &TraceSnapshot, max_bytes: usize) -> (String, u64) {
+        match self {
+            TraceFormat::Chrome => chrome_trace_json_capped(snap, max_bytes),
+            TraceFormat::Folded => cap_folded(&folded_stacks(snap), max_bytes),
+        }
+    }
+}
+
+impl FromStr for TraceFormat {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [TraceFormat::Chrome, TraceFormat::Folded]
+            .into_iter()
+            .find(|f| f.name() == s)
+            .ok_or_else(|| format!("expected 'chrome' or 'folded', got {s:?}"))
+    }
+}
 
 /// Lane display name: `coordinator` for lane 0, `worker-N` for lane `N + 1`.
 fn lane_name(lane: u32) -> String {
@@ -127,6 +169,26 @@ pub fn chrome_trace_json_capped(snap: &TraceSnapshot, max_bytes: usize) -> (Stri
         ));
     }
     out.push(']');
+    (out, omitted)
+}
+
+/// Caps folded-stack text at a byte budget, cutting only whole lines so
+/// the remainder still feeds `flamegraph.pl`. Returns the capped text and
+/// the number of lines omitted.
+fn cap_folded(text: &str, max_bytes: usize) -> (String, u64) {
+    if text.len() <= max_bytes {
+        return (text.to_string(), 0);
+    }
+    let mut out = String::new();
+    let mut omitted = 0u64;
+    for line in text.lines() {
+        if omitted == 0 && out.len() + line.len() < max_bytes {
+            out.push_str(line);
+            out.push('\n');
+        } else {
+            omitted += 1;
+        }
+    }
     (out, omitted)
 }
 
@@ -275,6 +337,39 @@ mod tests {
         assert!(
             partial.contains("\"name\":\"total\""),
             "prefix keeps the first span"
+        );
+    }
+
+    #[test]
+    fn cap_folded_cuts_whole_lines() {
+        let text = "a;b 100\nc;d 200\ne;f 300\n";
+        let (full, omitted) = cap_folded(text, text.len());
+        assert_eq!(full, text);
+        assert_eq!(omitted, 0);
+        let (capped, omitted) = cap_folded(text, 10);
+        assert_eq!(capped, "a;b 100\n");
+        assert_eq!(omitted, 2);
+        // Once one line is cut, later shorter lines are not cherry-picked.
+        let text2 = "long;line;here 123456\nx 1\n";
+        let (capped2, omitted2) = cap_folded(text2, 5);
+        assert_eq!(capped2, "");
+        assert_eq!(omitted2, 2);
+    }
+
+    #[test]
+    fn trace_format_names_parse_and_render_uncapped() {
+        let snap = sample_snapshot();
+        for fmt in [TraceFormat::Chrome, TraceFormat::Folded] {
+            assert_eq!(fmt.name().parse::<TraceFormat>(), Ok(fmt));
+        }
+        assert!("svg".parse::<TraceFormat>().is_err());
+        assert_eq!(
+            TraceFormat::Chrome.render(&snap, usize::MAX),
+            (chrome_trace_json(&snap), 0)
+        );
+        assert_eq!(
+            TraceFormat::Folded.render(&snap, usize::MAX),
+            (folded_stacks(&snap), 0)
         );
     }
 

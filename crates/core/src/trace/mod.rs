@@ -255,7 +255,7 @@ impl Tracer {
             lanes: (0..lanes.max(1))
                 .map(|_| TraceLane::new(events_per_lane))
                 .collect(),
-            hists: Histograms::new(),
+            hists: Histograms::default(),
         }
     }
 
@@ -316,12 +316,6 @@ impl Tracer {
     #[inline]
     pub fn instant(&self, lane: usize, name: EventName, args: [u32; 2]) {
         self.span(lane, name, self.now_ns(), 0, args, false, 0);
-    }
-
-    /// Records one histogram observation.
-    #[inline]
-    pub fn record_hist(&self, kind: HistKind, value: u64) {
-        self.hists.record(kind, value);
     }
 
     /// The shared histograms.
@@ -412,7 +406,7 @@ pub trait TraceSink: Sync {
                     stolen,
                     home.min(255) as u8,
                 );
-                t.record_hist(HistKind::TaskNanos, dur);
+                t.hists.record(HistKind::TaskNanos, dur);
             }
         }
     }
@@ -432,7 +426,7 @@ pub trait TraceSink: Sync {
     fn trace_hist(&self, kind: HistKind, value: u64) {
         if Self::TRACE_ENABLED {
             if let Some(t) = self.tracer() {
-                t.record_hist(kind, value);
+                t.hists.record(kind, value);
             }
         }
     }

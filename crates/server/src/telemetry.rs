@@ -177,26 +177,6 @@ impl Telemetry {
     }
 }
 
-/// Caps folded-stack text at a byte budget, cutting only whole lines so
-/// the remainder still feeds `flamegraph.pl`. Returns the capped text and
-/// the number of lines omitted.
-pub fn cap_folded(text: &str, max_bytes: usize) -> (String, u64) {
-    if text.len() <= max_bytes {
-        return (text.to_string(), 0);
-    }
-    let mut out = String::new();
-    let mut omitted = 0u64;
-    for line in text.lines() {
-        if omitted == 0 && out.len() + line.len() < max_bytes {
-            out.push_str(line);
-            out.push('\n');
-        } else {
-            omitted += 1;
-        }
-    }
-    (out, omitted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,21 +237,5 @@ mod tests {
         ring.push(sample(2, 2, 0, 0));
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.capacity(), 1);
-    }
-
-    #[test]
-    fn cap_folded_cuts_whole_lines() {
-        let text = "a;b 100\nc;d 200\ne;f 300\n";
-        let (full, omitted) = cap_folded(text, text.len());
-        assert_eq!(full, text);
-        assert_eq!(omitted, 0);
-        let (capped, omitted) = cap_folded(text, 10);
-        assert_eq!(capped, "a;b 100\n");
-        assert_eq!(omitted, 2);
-        // Once one line is cut, later shorter lines are not cherry-picked.
-        let text2 = "long;line;here 123456\nx 1\n";
-        let (capped2, omitted2) = cap_folded(text2, 5);
-        assert_eq!(capped2, "");
-        assert_eq!(omitted2, 2);
     }
 }

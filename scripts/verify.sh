@@ -14,6 +14,12 @@ cargo test -q
 echo "== tier-1: cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== fault-injection: clippy over the cfg(feature) code =="
+# The fault-injection paths (e.g. the daemon's `boom` job) only compile with
+# the feature on, so the plain clippy step above never lints them.
+cargo clippy -p dbscan-core -p dbscan-server -p dbscan-cli --features fault-injection \
+    --all-targets -- -D warnings
+
 echo "== fault-injection: cargo test -p dbscan-core --features fault-injection -q =="
 cargo test -p dbscan-core --features fault-injection -q
 
