@@ -269,3 +269,38 @@ fn a_dangling_unterminated_frame_is_served_at_eof() {
     handle.wait();
     assert_daemon_threads_gone();
 }
+
+#[test]
+fn a_multi_megabyte_tag_is_parsed_in_linear_time() {
+    let _g = lock();
+    let (handle, addr) = tcp_server(|_| {});
+
+    // Parsing that revalidates the rest of the frame per character takes
+    // seconds per 100 KB, so a 4 MiB tag would pin the connection thread
+    // for hours; `raw_exchange` gives up after 5 s.
+    let half = 2 << 20;
+    let tag = format!("{}é\"\\\n{}", "a".repeat(half), "b".repeat(half));
+    let req = submit_req(
+        &blob_points(60, 0x7a9),
+        EPS,
+        MIN_PTS,
+        vec![("tag", Value::Str(tag.clone()))],
+    );
+    let line = raw_exchange(&addr, format!("{}\n", req.to_line()).as_bytes())
+        .expect("a 4 MiB tag must be answered within the read timeout");
+    let v = dbscan_server::json::parse(line.trim()).expect("json response");
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{line}");
+    let job = v.get("job").and_then(Value::as_u64).expect("job id");
+
+    // The tag comes back whole in the result envelope.
+    let mut client = Client::connect_tcp(&addr.to_string()).expect("connect");
+    let r = client.call(&result_req(job)).expect("result");
+    assert_eq!(r.get("state").and_then(Value::as_str), Some("done"));
+    assert!(r.get("tag").and_then(Value::as_str) == Some(tag.as_str()));
+    drop(client);
+
+    assert_still_serving(&addr);
+    handle.shutdown();
+    handle.wait();
+    assert_daemon_threads_gone();
+}

@@ -9,8 +9,10 @@ use common::*;
 use dbscan_core::algorithms::{grid_exact, rho_approx};
 use dbscan_core::DbscanParams;
 use dbscan_eval::sandwich::{check_sandwich, SandwichOutcome};
+use dbscan_geom::Point;
+use dbscan_server::journal::JOURNAL_FILE;
 use dbscan_server::json::{obj, Value};
-use dbscan_server::{label_hash, start, Bind, Client, ServerConfig};
+use dbscan_server::{label_hash, start, Bind, Client, JournalConfig, ServerConfig};
 use std::time::Duration;
 
 const EPS: f64 = 6.0;
@@ -67,6 +69,66 @@ fn served_exact_run_is_bit_identical_to_standalone() {
 
     handle.shutdown();
     handle.wait();
+}
+
+#[test]
+fn extreme_and_negative_zero_coordinates_cross_the_wire_bit_exact() {
+    let _g = lock();
+    let dir = std::env::temp_dir().join(format!("dbscan-wire-bits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    // The journal keeps each admitted job's coordinates as raw bits, so it
+    // shows exactly what the daemon decoded.
+    let (handle, mut client) = tcp_server(|cfg| {
+        cfg.journal = Some(JournalConfig::new(dir.clone()));
+    });
+
+    // Blobs with signed zeros, subnormals and full-precision values in the
+    // SS domain [0, 1e5]; then a run at an ε large enough for ±1e300,
+    // whose text takes the writer's `{}` fallback.
+    let mut near = blob_points(300, 0xb175);
+    near.extend([
+        Point([-0.0, 0.0]),
+        Point([0.0, -0.0]),
+        Point([1e-300, 5e-324]),
+        Point([-5e-324, -1e-300]),
+        Point([f64::MIN_POSITIVE, -0.1]),
+        Point([99_999.999_999_999_99, 12_345.678_901_234_567]),
+        Point([0.1 + 0.2, 1e5]),
+    ]);
+    let far = vec![
+        Point([1e300, 1e300]),
+        Point([1e300, -1e300]),
+        Point([-0.0, 1e300]),
+        Point([5e-324, -0.0]),
+        Point([12_345.678_901_234_567, 99_999.5]),
+        Point([-1.797_693_134_862_315_7e300, 3e299]),
+    ];
+    for (pts, eps, min_pts) in [(near, EPS, MIN_PTS), (far, 1e290, 2)] {
+        let standalone = grid_exact(&pts, DbscanParams::new(eps, min_pts).unwrap());
+        let job = submit_ok(&mut client, &submit_req(&pts, eps, min_pts, vec![]));
+        let resp = client.call(&result_req(job)).expect("result call");
+        assert_eq!(resp.get("state").and_then(Value::as_str), Some("done"));
+        assert_eq!(labels_of(&resp), standalone.flat_labels(), "eps {eps}");
+        assert_eq!(
+            resp.get("label_hash").and_then(Value::as_str),
+            Some(format!("{:016x}", label_hash(&standalone.flat_labels())).as_str())
+        );
+        let bits: Vec<u8> = pts
+            .iter()
+            .flat_map(|p| p.0)
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        let journal = std::fs::read(dir.join(JOURNAL_FILE)).expect("read journal");
+        assert!(
+            journal.windows(bits.len()).any(|w| w == bits),
+            "the daemon decoded other bits than the client sent (eps {eps})"
+        );
+    }
+
+    handle.shutdown();
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
