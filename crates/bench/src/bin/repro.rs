@@ -1319,9 +1319,10 @@ fn labels_cmd(scale: &Scale) {
 fn labels_shell3d() {
     use dbscan_datagen::hard::blob_and_shell;
     // A large instance, whose blob–shell pairs exceed the brute-force limit
-    // and reach a Lemma 5 counter under either oracle, and a small one 10ε
-    // away, whose pairs stay under the limit: probe-first answers those
-    // exactly, counter-only may join them.
+    // (counter-only decides them with a Lemma 5 counter; the exact front
+    // end of exact and probe-first rules them out with its box filter), and
+    // a small one 10ε away, whose pairs stay under the limit: probe-first
+    // answers those exactly, counter-only may join them.
     let mut pts = blob_and_shell::<3>(2_000, 16_000, 1.0, DEFAULT_RHO, DATASET_SEED);
     let small = blob_and_shell::<3>(20, 2_000, 1.0, DEFAULT_RHO, DATASET_SEED + 1);
     pts.extend(small.iter().map(|p| Point([p[0] + 10.0, p[1], p[2]])));

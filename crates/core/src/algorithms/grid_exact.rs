@@ -23,8 +23,9 @@ use dbscan_index::KdTree;
 /// [`BcpStrategy`]; panics where [`cluster`] returns an error.
 ///
 /// The theoretical BCP routine of Agarwal et al. is replaced by an early-exit
-/// predicate: small cell pairs use a brute-force scan, large ones probe a
-/// lazily built (and cached) kd-tree over the bigger cell's core points.
+/// predicate: the exact front end of [`crate::bcp`] (blocked scan, budgeted
+/// probe, core-box tests) settles almost every cell pair, and the rest probe
+/// a lazily built (and cached) kd-tree over the bigger cell's core points.
 ///
 /// ```
 /// use dbscan_core::{DbscanParams, algorithms::grid_exact};
@@ -51,8 +52,9 @@ pub fn grid_exact<const D: usize>(points: &[Point<D>], params: DbscanParams) -> 
 /// the BCP routine moves the exact/approximate crossover. See EXPERIMENTS.md.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BcpStrategy {
-    /// Early-exit brute force for small pairs, cached kd-tree probing for
-    /// large ones (this crate's substitute for Agarwal et al.'s BCP).
+    /// The exact front end of [`crate::bcp::front_end`] for every pair, and
+    /// cached kd-tree probing for the large pairs it leaves open (this
+    /// crate's substitute for Agarwal et al.'s BCP).
     #[default]
     TreeAssisted,
     /// Early-exit brute force for every pair — no trees, but the scan stops at
@@ -104,12 +106,13 @@ pub(crate) fn grid_exact_run<const D: usize, S: StatsSink>(
 }
 
 /// The exact edge oracle: an edge `(c₁, c₂)` iff the bichromatic closest pair
-/// of the cells' core points is within ε, decided per `strategy`. Small
-/// pairs (and every pair under [`BcpStrategy::BruteForceOnly`]) use the
-/// early-exit blocked scan; large ones first try a budgeted blocked probe and
-/// only an undecided probe pays for the tree route, which probes the smaller
-/// side against a lazily built (and cached) kd-tree over the larger side's
-/// core points (ties to the higher rank).
+/// of the cells' core points is within ε, decided per `strategy`. Under
+/// [`BcpStrategy::BruteForceOnly`] every pair uses the early-exit blocked
+/// scan; under [`BcpStrategy::TreeAssisted`] every pair goes through the
+/// exact front end ([`Graph::settle`], shared with the ρ-approximate oracle)
+/// and only a pair it leaves open pays for the tree route, which probes the
+/// smaller side against a lazily built (and cached) kd-tree over the larger
+/// side's core points (ties to the higher rank).
 fn bcp_edges<const D: usize, S: StatsSink>(
     g: &Graph<'_, D, S>,
     strategy: BcpStrategy,
@@ -131,19 +134,12 @@ fn bcp_edges<const D: usize, S: StatsSink>(
             }
             BcpStrategy::TreeAssisted | BcpStrategy::BruteForceOnly => {}
         }
-        if strategy == BcpStrategy::BruteForceOnly || a.len() * b.len() <= bcp::BRUTE_FORCE_LIMIT {
+        if strategy == BcpStrategy::BruteForceOnly {
             stats.bump(Counter::BruteForceDecisions);
             stats.bump(Counter::BlockKernelCalls);
             return bcp::within_threshold_blocks(&cc.core_block(r1), &cc.core_block(r2), eps);
         }
-        // Large pair: optimistic budgeted probe first. Between core cells an
-        // edge usually exists and the blocked scan finds it in the first few
-        // chunks; only an undecided probe pays for the tree route below.
-        stats.bump(Counter::BlockKernelCalls);
-        if let Some(hit) =
-            bcp::probe_within_threshold_blocks(&cc.core_block(r1), &cc.core_block(r2), eps)
-        {
-            stats.bump(Counter::BruteForceDecisions);
+        if let Some(hit) = g.settle(r1, r2) {
             return hit;
         }
         stats.bump(Counter::TreeProbeDecisions);
@@ -167,9 +163,9 @@ fn bcp_edges<const D: usize, S: StatsSink>(
         }
     })?;
     if S::ENABLED {
-        // Core cells whose kd-tree was never needed: with the raised
-        // brute-force crossover this is the usual case, and it is the
-        // counterpart of the shrinking structure_build phase.
+        // Core cells whose kd-tree was never needed: with the front end
+        // this is the usual case, and it is the counterpart of the
+        // shrinking structure_build phase.
         let unbuilt = trees.iter().filter(|t| t.get().is_none()).count();
         stats.add(Counter::BruteForceCells, unbuilt as u64);
     }

@@ -9,26 +9,36 @@
 //! * **don't care** in between.
 //!
 //! An exact answer to "is the closest pair within ε?" satisfies both rules,
-//! so the oracle ([`ApproxOracle::ProbeFirst`]) runs the exact path's cheap
-//! front end first: small pairs (`|a|·|b| ≤` [`bcp::BRUTE_FORCE_LIMIT`]) are
-//! decided by the blocked early-exit scan, large pairs by a budgeted blocked
-//! probe of at most [`bcp::PROBE_EVAL_BUDGET`] distance evaluations. Only a
-//! probe that runs out of budget builds (lazily, once per cell) the
+//! so the oracle ([`ApproxOracle::ProbeFirst`]) first runs the exact
+//! algorithm's own front end ([`bcp::front_end`], through `Graph::settle`):
+//! small pairs (`|a|·|b| ≤` [`bcp::BRUTE_FORCE_LIMIT`]) are decided by the
+//! blocked early-exit scan, large pairs by a budgeted blocked probe of at
+//! most [`bcp::PROBE_EVAL_BUDGET`] distance evaluations and then by their
+//! core-point bounding boxes: a box gap beyond ε, a box filter that leaves
+//! one side empty or few enough points to scan, or a hit among the
+//! [`bcp::NEAREST_K`] points of each side nearest the other box. Only a
+//! pair the front end leaves open builds (lazily, once per cell) the
 //! approximate range counter of Lemma 5 over the larger cell's core points
 //! and queries it with the other cell's core points: a positive
 //! (approximate) count at radius ε decides the edge. No kd-tree is ever
-//! built. Each candidate pair therefore costs at most a constant on top of
-//! the Lemma 5 route, so Theorem 4's O(n) expected bound still holds.
+//! built: the exact and approximate oracles differ only in that fallback
+//! structure. The front end costs O(|a| + |b|) plus a constant number of
+//! distance evaluations per candidate pair, no more than the counter route
+//! it replaces, so Theorem 4's O(n) expected bound still holds.
 //! [`ApproxOracle::CounterOnly`] skips the front end and decides every pair
 //! with a counter: the paper's own cost profile, kept as an ablation for
 //! Figures 11 and 13.
+//!
+//! [`bcp::front_end`]: crate::bcp::front_end
+//! [`bcp::BRUTE_FORCE_LIMIT`]: crate::bcp::BRUTE_FORCE_LIMIT
+//! [`bcp::PROBE_EVAL_BUDGET`]: crate::bcp::PROBE_EVAL_BUDGET
+//! [`bcp::NEAREST_K`]: crate::bcp::NEAREST_K
 //!
 //! Core-point labeling and border assignment remain exact, so any output is
 //! a legal result of Problem 2 and inherits the sandwich guarantee of
 //! Theorem 3.
 
 use super::{cluster, Algorithm, Spec};
-use crate::bcp;
 use crate::cells::CoreCells;
 use crate::deadline::RunCtl;
 use crate::error::{validate_rho, DbscanError};
@@ -86,9 +96,9 @@ pub fn rho_approx<const D: usize>(
 /// reached pair. See EXPERIMENTS.md.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ApproxOracle {
-    /// The exact path's blocked scan for small pairs and budgeted blocked
-    /// probe for large ones; a Lemma 5 counter only when the probe runs out
-    /// of budget.
+    /// The exact algorithm's front end ([`crate::bcp::front_end`]: blocked
+    /// scan, budgeted probe, core-box tests); a Lemma 5 counter only for the
+    /// pairs it leaves open.
     #[default]
     ProbeFirst,
     /// A Lemma 5 counter for every pair: the paper's cost profile.
@@ -98,7 +108,7 @@ pub enum ApproxOracle {
 /// [`rho_approx`] with an observability sink (see [`crate::stats`]).
 ///
 /// Records per-phase wall times plus the edge-test decision counters (pairs
-/// decided by the blocked scan or probe, and pairs decided by a counter) and
+/// decided by the exact front end, and pairs decided by a counter) and
 /// the counter-specific operation counts: Lemma 5 structures built,
 /// `query_positive` probes issued, and hierarchy cells visited while
 /// answering them. With [`NoStats`] every recording site
@@ -165,7 +175,7 @@ pub(crate) fn rho_approx_run<const D: usize, S: StatsSink>(
         let uf = g.connect(|r1, r2| counter_edge_test(g, &counters, rule, r1, r2))?;
         if S::ENABLED {
             // Core cells whose Lemma 5 counter was never built: no pair
-            // reached them as its count side, or the scan or probe decided
+            // reached them as its count side, or the front end decided
             // every such pair (the approximate analogue of the exact path's
             // brute_force_cells).
             let unbuilt = counters.iter().filter(|c| c.get().is_none()).count();
@@ -197,13 +207,12 @@ impl EdgeRule {
 pub(crate) type CounterSlots<const D: usize> = [OnceLock<ApproxRangeCounter<D>>];
 
 /// Decides the `(r1, r2)` edge under `rule` (see the module docs). Under
-/// [`ApproxOracle::ProbeFirst`] small pairs are decided by the blocked scan
-/// and large ones by the budgeted blocked probe, both exact; a pair the probe
-/// leaves undecided, and every pair under [`ApproxOracle::CounterOnly`], is
-/// decided by the approximate range counter of Lemma 5 at `rule.rho`, built
-/// lazily over the larger cell's core points and probed with the smaller
-/// cell's core points (ties count on `r2`): a positive count at radius ε
-/// decides the edge.
+/// [`ApproxOracle::ProbeFirst`] the exact front end ([`Graph::settle`])
+/// decides the pair if it can; a pair it leaves open, and every pair under
+/// [`ApproxOracle::CounterOnly`], is decided by the approximate range
+/// counter of Lemma 5 at `rule.rho`, built lazily over the larger cell's
+/// core points and probed with the smaller cell's core points (ties count
+/// on `r2`): a positive count at radius ε decides the edge.
 pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
     g: &Graph<'_, D, S>,
     counters: &CounterSlots<D>,
@@ -213,15 +222,7 @@ pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
 ) -> bool {
     let (points, cc, stats) = (g.points, g.cc, g.exec.stats);
     if rule.oracle == ApproxOracle::ProbeFirst {
-        let (a, b) = (cc.core_block(r1), cc.core_block(r2));
-        stats.bump(Counter::BlockKernelCalls);
-        let decided = if a.len() * b.len() <= bcp::BRUTE_FORCE_LIMIT {
-            Some(bcp::within_threshold_blocks(&a, &b, cc.params.eps()))
-        } else {
-            bcp::probe_within_threshold_blocks(&a, &b, cc.params.eps())
-        };
-        if let Some(hit) = decided {
-            stats.bump(Counter::BruteForceDecisions);
+        if let Some(hit) = g.settle(r1, r2) {
             return hit;
         }
     }
@@ -264,6 +265,7 @@ pub(crate) fn counter_edge_test<const D: usize, S: StatsSink>(
 mod tests {
     use super::*;
     use crate::algorithms::grid_exact;
+    use crate::bcp;
     use dbscan_geom::point::p2;
 
     fn params(eps: f64, min_pts: usize) -> DbscanParams {
@@ -423,7 +425,8 @@ mod tests {
     /// along x) whose closest pair is the two points at height 0.25, `gap`
     /// apart. With `gap = 1` every coordinate is a multiple of 1/128, so that
     /// pair is an exact tie at ε. `dup` piles the rest of each clump onto
-    /// four points.
+    /// four points. The front end settles these pairs by their core boxes,
+    /// so far away [`bcp::open_pair`] adds a pair it leaves to a counter.
     fn clumps(n: usize, gap: f64, dup: bool) -> Vec<Point<2>> {
         let mut pts = vec![p2(0.5, 0.25), p2(0.5 + gap, 0.25)];
         for i in 0..n - 1 {
@@ -432,6 +435,7 @@ mod tests {
             pts.push(p2(0.375 + dx, 0.125 + dy));
             pts.push(p2(0.5 + gap + 0.125 - dx, 0.125 + dy));
         }
+        pts.extend(bcp::open_pair(80, (-100, -100)));
         pts
     }
 

@@ -16,8 +16,9 @@
 //!   naming the phase, the elapsed time, and how many tasks were left.
 //! - [`DeadlinePolicy::Degrade`] — the remaining *edge-phase* work switches
 //!   from exact BCP tests to the ρ-approximate edge oracle at a configured
-//!   `degrade_rho`: the budgeted blocked probe first, Lemma 5 approximate
-//!   counting where the probe runs out. By the Sandwich Theorem (Theorem 3 of the paper) an
+//!   `degrade_rho`: the exact front end of [`crate::bcp::front_end`] first,
+//!   Lemma 5 approximate counting for the pairs it leaves open. By the
+//!   Sandwich Theorem (Theorem 3 of the paper) an
 //!   approximate edge test at ρ′ only errs inside the `(ε, ε(1+ρ′)]` slack
 //!   band, and an exact answer is always a legal answer for the approximate
 //!   rule — so a run that mixes exact edges (before the budget tripped) with

@@ -101,6 +101,7 @@
 use crate::algorithms::{
     cluster, counter_edge_test, Algorithm, BcpStrategy, CounterSlots, EdgeRule, Spec,
 };
+use crate::bcp;
 use crate::border::assign_border_clusters;
 use crate::cells::CoreCells;
 use crate::deadline::{precheck_degrade, Heartbeats, RunCtl, StageId};
@@ -111,7 +112,7 @@ use crate::stats::{Counter, NoStats, Phase, StatsSink};
 use crate::trace::{hist::HistKind, EventName};
 use crate::types::{Assignment, Clustering, DbscanParams};
 use crate::unionfind::{ConcurrentUnionFind, UnionFind};
-use dbscan_geom::Point;
+use dbscan_geom::{Aabb, Point};
 use dbscan_index::GridIndex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -550,12 +551,7 @@ pub(crate) fn run_grid<const D: usize, S: StatsSink>(
                 &built
             }
         };
-        let graph = Graph {
-            points,
-            cc,
-            exec,
-            build_nanos: AtomicU64::new(0),
-        };
+        let graph = Graph::new(points, cc, exec);
         let mut uf = edges(&graph)?;
         if ctl.aborted() {
             return Err(ctl.deadline_error(StageId::EdgeTests));
@@ -577,9 +573,22 @@ pub(crate) struct Graph<'a, const D: usize, S> {
     /// Nanoseconds workers spent in [`Graph::lazy`] builds, carved out of the
     /// edge stage into [`Phase::StructureBuild`].
     build_nanos: AtomicU64,
+    /// Per rank, the bounding box of its core points, computed by
+    /// [`Graph::settle`] the first time a pair needs it.
+    boxes: Vec<OnceLock<Aabb<D>>>,
 }
 
-impl<const D: usize, S: StatsSink> Graph<'_, D, S> {
+impl<'a, const D: usize, S: StatsSink> Graph<'a, D, S> {
+    fn new(points: &'a [Point<D>], cc: &'a CoreCells<D>, exec: &'a Exec<'a, S>) -> Self {
+        Graph {
+            points,
+            cc,
+            exec,
+            build_nanos: AtomicU64::new(0),
+            boxes: (0..cc.num_core_cells()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
     /// One empty structure slot per core cell, for [`Graph::lazy`].
     pub(crate) fn slots<T>(&self) -> Vec<OnceLock<T>> {
         (0..self.cc.num_core_cells())
@@ -610,6 +619,25 @@ impl<const D: usize, S: StatsSink> Graph<'_, D, S> {
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         (v, built)
+    }
+
+    /// The exact edge front end both edge oracles share:
+    /// [`bcp::front_end`] on the core blocks of ranks `r1` and `r2`. Counts
+    /// one [`Counter::BlockKernelCalls`] and, when it settles the pair, one
+    /// [`Counter::BruteForceDecisions`]; `None` leaves the pair to the
+    /// oracle's own structure (a kd-tree or a Lemma 5 counter).
+    pub(crate) fn settle(&self, r1: usize, r2: usize) -> Option<bool> {
+        let (cc, stats) = (self.cc, self.exec.stats);
+        stats.bump(Counter::BlockKernelCalls);
+        let (a, b) = (cc.core_block(r1), cc.core_block(r2));
+        let core_box =
+            |r: usize| *self.boxes[r].get_or_init(|| bcp::bounding_box(&cc.core_block(r)));
+        let answer =
+            bcp::front_end_with(&a, &b, cc.params.eps(), || (core_box(r1), core_box(r2))).answer();
+        if answer.is_some() {
+            stats.bump(Counter::BruteForceDecisions);
+        }
+        answer
     }
 
     /// The fused edge stage: workers claim core cells from a [`WorkQueue`]
@@ -867,13 +895,7 @@ pub(crate) fn connect_with<const D: usize>(
         stats: &NoStats,
         ctl: &RunCtl::unlimited(),
     };
-    let graph = Graph {
-        points,
-        cc,
-        exec: &exec,
-        build_nanos: AtomicU64::new(0),
-    };
-    graph.connect(oracle).unwrap()
+    Graph::new(points, cc, &exec).connect(oracle).unwrap()
 }
 
 /// [`assemble`] on a `threads`-worker pool, for unit tests.
@@ -1008,10 +1030,11 @@ mod tests {
     fn fused_edge_stage_skips_and_matches_sequential_counters() {
         // Dense blob (cells far above the brute-force product limit — with
         // the raised 16384 crossover that needs ~130+ core points per cell)
-        // plus a sparse fringe (cells below it), so both edge-test routes
-        // fire.
+        // plus a sparse fringe (cells below it), so both front-end routes
+        // fire, and far away a pair the front end leaves to the tree route.
         let mut pts = lcg_points(6_000, 4.0, 11);
         pts.extend(lcg_points(2_000, 30.0, 12));
+        pts.extend(crate::bcp::open_pair(80, (-100, -100)));
         let p = params(1.0, 4);
 
         let seq_stats = Stats::new();

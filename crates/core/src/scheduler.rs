@@ -762,22 +762,41 @@ mod tests {
         assert_eq!(WorkerPool::global(0).threads(), 1, "count clamps to ≥ 1");
     }
 
+    /// The pool's own workers are gone after the drop. The check looks only
+    /// at the tids the workers reported, so threads that sibling tests
+    /// spawn and join meanwhile cannot disturb it.
     #[test]
     fn pool_drop_joins_workers() {
-        let before = std::fs::read_dir("/proc/self/task").map(|d| d.count());
+        use std::time::{Duration, Instant};
+        // The kernel task id of the calling thread (Linux only).
+        fn tid() -> Option<String> {
+            let link = std::fs::read_link("/proc/thread-self").ok()?;
+            Some(link.file_name()?.to_str()?.to_string())
+        }
+        let tids = Mutex::new(Vec::new());
         {
             let pool = WorkerPool::new(4);
-            pool.run_phase(&|_| {});
+            pool.run_phase(&|_| lock(&tids).extend(tid()));
         }
-        // Linux-only observability; skip silently elsewhere.
-        if let (Ok(before), Ok(after)) = (
-            before,
-            std::fs::read_dir("/proc/self/task").map(|d| d.count()),
-        ) {
+        let tids = tids.into_inner().unwrap();
+        if tids.is_empty() {
+            return; // no /proc/thread-self: nothing to observe
+        }
+        assert_eq!(tids.len(), 4, "one tid per worker: {tids:?}");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let live: Vec<&String> = tids
+                .iter()
+                .filter(|t| std::path::Path::new("/proc/self/task").join(t).exists())
+                .collect();
+            if live.is_empty() {
+                return;
+            }
             assert!(
-                after <= before,
-                "dropping the pool must join its threads ({before} -> {after})"
+                Instant::now() < deadline,
+                "dropping the pool must join its threads; still listed: {live:?}"
             );
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 

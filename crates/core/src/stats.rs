@@ -112,8 +112,9 @@ pub enum Counter {
     EdgeTestsSkipped,
     /// Edge tests that returned true (an edge of the core-cell graph `G`).
     EdgesFound,
-    /// Edge tests decided by the early-exit brute-force scan or the budgeted
-    /// blocked probe (exact and ρ-approximate algorithms alike).
+    /// Edge tests decided by the early-exit brute-force scan or by the exact
+    /// front end of [`crate::bcp::front_end`] (blocked scan, budgeted probe,
+    /// core-box tests; exact and ρ-approximate algorithms alike).
     BruteForceDecisions,
     /// Edge tests decided by probing a per-cell kd-tree.
     TreeProbeDecisions,
@@ -123,7 +124,7 @@ pub enum Counter {
     /// Edge tests decided by the Lemma 5 approximate counter (ρ-approximate
     /// algorithm, and degraded edge tests): every pair under
     /// [`crate::algorithms::ApproxOracle::CounterOnly`], only the pairs the
-    /// blocked probe leaves undecided otherwise.
+    /// exact front end leaves open otherwise.
     CounterDecisions,
     /// Historical (kept for schema stability): the old parallel exact path
     /// pre-built kd-trees from a heuristic and counted pairs whose designated
@@ -172,7 +173,7 @@ pub enum Counter {
     SequentialFallbacks,
     /// Kernel-backed distance-primitive dispatches from instrumented paths:
     /// one per counted neighborhood scan in labeling and one per blocked
-    /// brute-force BCP predicate in the edge phase (see
+    /// BCP predicate or exact front-end call in the edge phase (see
     /// `dbscan_geom::kernels`). Zero on paths that never touch a blocked
     /// kernel (e.g. `FullBcp` strategies).
     BlockKernelCalls,

@@ -330,14 +330,41 @@ fn degenerate_identical_points() {
     }
 }
 
-/// With the probe first, small inputs never reach a Lemma 5 counter. Two
-/// dense clumps in ε-neighbor cells whose closest pair lies beyond ε do: the
-/// pair is past the brute-force limit and the probe's budget, so a counter
-/// decides it, while the smaller pairs around it stay with the blocked scan.
-/// Either way each approximate edge test counts exactly one decision.
+/// A cell pair the exact front end (`dbscan_core::bcp::front_end`) cannot
+/// settle, at ε = 1: four clumps of `n` points, radius ≤ 0.005, in two
+/// ε-neighbor cells of the side-1/√2 grid (`cell` and the one diagonally
+/// above left of it). Each clump lies within ε of the other cell's core box,
+/// no cross pair is within ε, and `(2n)²` exceeds the brute-force limit for
+/// `n ≥ 64`, so the pair falls through to a kd-tree or a Lemma 5 counter.
+fn open_pair(n: usize, cell: (i32, i32)) -> Vec<Point<2>> {
+    let side = dbscan_geom::grid::base_side::<2>(1.0);
+    let (x0, y0) = (cell.0 as f64 * side, cell.1 as f64 * side);
+    [
+        (0.639, 0.444),
+        (0.168, 0.059),
+        (-0.190, 1.102),
+        (-0.596, 0.779),
+    ]
+    .into_iter()
+    .flat_map(|(x, y)| {
+        (0..n).map(move |i| {
+            let (dx, dy) = ((i % 8) as f64 - 3.5, (i / 8 % 8) as f64 - 3.5);
+            Point([x0 + x + dx * 0.001, y0 + y + dy * 0.001])
+        })
+    })
+    .collect()
+}
+
+/// With the exact front end first, small inputs never reach a Lemma 5
+/// counter. Two dense clumps in ε-neighbor cells whose closest pair lies
+/// beyond ε are past the brute-force limit and the probe's budget, but
+/// their core boxes are more than ε apart, so the front end still decides
+/// them, as it does the smaller pairs around them; only the far-away
+/// [`open_pair`] reaches a counter. Either way each approximate edge test
+/// counts exactly one decision.
 #[test]
 fn approx_edge_tests_decompose_into_probe_and_counter_decisions() {
-    let mut pts = Vec::new();
+    let mut pts = open_pair(80, (-100, -100));
     for i in 0..150 {
         let (dx, dy) = ((i % 16) as f64 / 128.0, (i / 16) as f64 / 128.0);
         pts.push(Point([0.375 + dx, 0.125 + dy]));

@@ -80,6 +80,28 @@ impl<const D: usize> Aabb<D> {
         acc
     }
 
+    /// Squared distance between the closest points of the box and `other`
+    /// (0 if they touch or overlap). Like [`Aabb::min_dist_sq`] it sums the
+    /// per-dimension gaps in ascending dimension order, the order of
+    /// [`Point::dist_sq`]; rounding is monotone, so the result is never
+    /// larger than the computed `p.dist_sq(&q)` of any `p` in one box and
+    /// `q` in the other.
+    #[inline]
+    pub fn min_dist_sq_box(&self, other: &Self) -> f64 {
+        let mut acc = 0.0;
+        for i in 0..D {
+            let d = if other.hi[i] < self.lo[i] {
+                self.lo[i] - other.hi[i]
+            } else if self.hi[i] < other.lo[i] {
+                other.lo[i] - self.hi[i]
+            } else {
+                0.0
+            };
+            acc += d * d;
+        }
+        acc
+    }
+
     /// Squared distance from `q` to the farthest point of the box.
     #[inline]
     pub fn max_dist_sq(&self, q: &Point<D>) -> f64 {
@@ -159,6 +181,19 @@ mod tests {
     #[test]
     fn min_dist_to_face() {
         assert_eq!(unit().min_dist_sq(&p2(0.5, 3.0)), 4.0);
+    }
+
+    #[test]
+    fn box_to_box_distance() {
+        let far = Aabb::new(p2(4.0, 5.0), p2(6.0, 7.0));
+        // Closest corners (1, 1) and (4, 5): squared distance 9 + 16.
+        assert_eq!(unit().min_dist_sq_box(&far), 25.0);
+        assert_eq!(far.min_dist_sq_box(&unit()), 25.0);
+        let beside = Aabb::new(p2(3.0, 0.5), p2(4.0, 0.75));
+        assert_eq!(unit().min_dist_sq_box(&beside), 4.0);
+        let touching = Aabb::new(p2(1.0, -1.0), p2(2.0, 0.0));
+        assert_eq!(unit().min_dist_sq_box(&touching), 0.0);
+        assert_eq!(unit().min_dist_sq_box(&unit()), 0.0);
     }
 
     #[test]

@@ -440,11 +440,12 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash in one piece;
-            // both are ASCII, so the run ends on a char boundary.
+            // Copy the run up to the next quote, backslash or control byte
+            // in one piece; all are ASCII, so the run ends on a char
+            // boundary.
             let run = self.pos;
             while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
+                if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
@@ -455,6 +456,12 @@ impl<'a> Parser<'a> {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "unescaped control character U+{b:04X} at byte {}",
+                        self.pos
+                    ));
                 }
                 _ => {
                     self.pos += 1;
@@ -494,13 +501,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four ASCII hex digits (no sign, unlike `from_str_radix`).
     fn hex4(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err("truncated \\u escape".to_string());
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut v = 0;
+        for &b in digits {
+            v = v * 16 + (b as char).to_digit(16).ok_or("bad \\u escape")?;
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| "bad \\u escape".to_string())?;
         self.pos += 4;
         Ok(v)
     }
@@ -970,6 +980,42 @@ mod tests {
         }
         let err = parse("[1,2e]").unwrap_err();
         assert_eq!(err, "bad number \"2e\" at byte 3");
+    }
+
+    #[test]
+    fn string_corpus_pins_acceptance_and_error_texts() {
+        for (text, want) in [
+            (r#""\u0041\u00e9""#, Ok("Aé")),
+            (r#""\uD83D\uDE00""#, Ok("😀")),
+            ("\"tab\\tok\"", Ok("tab\tok")),
+            ("\"\u{7f}\"", Ok("\u{7f}")),
+            (r#""\u+041""#, Err("bad \\u escape")),
+            (r#""\u004""#, Err("bad \\u escape")),
+            (r#""\u00""#, Err("truncated \\u escape")),
+            (
+                "\"a\u{1}b\"",
+                Err("unescaped control character U+0001 at byte 2"),
+            ),
+            (
+                "\"\u{0}\"",
+                Err("unescaped control character U+0000 at byte 1"),
+            ),
+            (
+                "\"tab\tno\"",
+                Err("unescaped control character U+0009 at byte 4"),
+            ),
+            (
+                "\"line\n\"",
+                Err("unescaped control character U+000A at byte 5"),
+            ),
+        ] {
+            let got = parse(text).map(|v| v.as_str().unwrap().to_string());
+            assert_eq!(
+                got,
+                want.map(str::to_string).map_err(str::to_string),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

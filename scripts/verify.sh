@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 gate: every change must pass this before merging (see README).
-# Runs the release build, the full test suite, and a warning-free clippy
-# sweep over all targets. Fails fast on the first broken step.
+# Runs the format check, the release build, the full test suite, a
+# warning-free clippy sweep over all targets and warning-free docs, as CI
+# does. Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== format: cargo fmt --all --check =="
+cargo fmt --all --check
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
@@ -19,6 +23,9 @@ echo "== fault-injection: clippy over the cfg(feature) code =="
 # the feature on, so the plain clippy step above never lints them.
 cargo clippy -p dbscan-core -p dbscan-server -p dbscan-cli --features fault-injection \
     --all-targets -- -D warnings
+
+echo "== docs: cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== fault-injection: cargo test -p dbscan-core --features fault-injection -q =="
 cargo test -p dbscan-core --features fault-injection -q
