@@ -36,7 +36,7 @@ pub(crate) fn label_core_points<const D: usize, S: StatsSink>(
 ) -> Result<Vec<bool>, DbscanError> {
     let min_pts = params.min_pts();
     let threads = exec.pool.threads();
-    let queue = WorkQueue::new(grid.cells().iter().map(|c| c.len() as u64), threads);
+    let queue = WorkQueue::balanced(grid.cells().iter().map(|c| c.len() as u64), threads);
     #[derive(Default)]
     struct Tally {
         core_ids: Vec<u32>,

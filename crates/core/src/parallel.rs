@@ -9,10 +9,13 @@
 //! [`WorkQueue`] — a std-only self-scheduling task list, heaviest task first
 //! (see [`crate::scheduler`]). A *sequential* run is the same pipeline on a
 //! one-thread pool: [`WorkerPool::global`]`(1)` spawns no thread and runs each
-//! stage inline on the caller, and a single claimant drains every queue in
-//! natural order (cells, then ranks), which is exactly the order of the
-//! classic sequential loops. So a sequential and a parallel [`cluster`] run
-//! differ only in the pool their [`Spec`]'s [`ParConfig`] hands the pipeline.
+//! stage inline on the caller. A single claimant drains the per-cell queues
+//! (labeling, border assignment) in natural cell order, where the order
+//! changes nothing but memory locality, and the edge queue heaviest-first,
+//! as every pool does: that order decides which candidate pairs the live
+//! union-find lets the stage skip (see `Graph::connect`). So a sequential and a
+//! parallel [`cluster`] run differ only in the pool their [`Spec`]'s
+//! [`ParConfig`] hands the pipeline.
 //!
 //! The edge phase is *fused*: one barrier-free stage performs lazy per-cell
 //! structure builds (kd-trees / Lemma 5 counters, each built at most once via
@@ -641,13 +644,19 @@ impl<'a, const D: usize, S: StatsSink> Graph<'a, D, S> {
     }
 
     /// The fused edge stage: workers claim core cells from a [`WorkQueue`]
-    /// (weighted by [`CoreCells::edge_task_weight`], heaviest first, when
-    /// there is more than one claimant), run `oracle` on each candidate pair
-    /// `(r1, r2)` (ranks, `r1 < r2`), and union discovered edges into a
-    /// shared [`ConcurrentUnionFind`] *while testing continues* — so a pair
-    /// whose cells are already connected is skipped
+    /// (weighted by [`CoreCells::edge_task_weight`], heaviest first at every
+    /// thread count), run `oracle` on each candidate pair `(r1, r2)` (ranks,
+    /// `r1 < r2`), and union discovered edges into a shared
+    /// [`ConcurrentUnionFind`] *while testing continues* — so a pair whose
+    /// cells are already connected is skipped
     /// ([`Counter::EdgeTestsSkipped`]), mirroring the "all such p have been
     /// tried" early exits of the paper's edge computations.
+    ///
+    /// The order is there for the skips, not for load balance: heavy cells
+    /// have the most candidate pairs, so running them first joins most of
+    /// `G` early and leaves the light cells' pairs to be skipped. On
+    /// `batch-ss5d` a one-thread run in rank order built about three times
+    /// as many kd-trees and Lemma 5 counters as one in this order.
     ///
     /// Every candidate pair counts one [`Counter::EdgeTests`] whether or not
     /// it is skipped, so the count is identical at every thread count. Once
@@ -670,13 +679,7 @@ impl<'a, const D: usize, S: StatsSink> Graph<'a, D, S> {
             Vec::new()
         };
         let span = stats.now();
-        // The weight pass re-enumerates every candidate pair — worth it only
-        // when there is more than one claimant to balance across.
-        let queue = if threads > 1 {
-            WorkQueue::new((0..m).map(|r| cc.edge_task_weight(r)), threads)
-        } else {
-            WorkQueue::unweighted(m, threads)
-        };
+        let queue = WorkQueue::new((0..m).map(|r| cc.edge_task_weight(r)), threads);
         let cuf = ConcurrentUnionFind::new(m);
         let union_nanos = AtomicU64::new(0);
         #[derive(Default)]
@@ -799,14 +802,21 @@ fn assemble<const D: usize, S: StatsSink>(
     let stats = exec.stats;
     let span = stats.now();
     let (component_of_rank, num_clusters) = uf.compact_labels();
-    let mut assignments = vec![Assignment::Noise; points.len()];
-    for (rank, &cluster) in component_of_rank.iter().enumerate() {
-        for &p in cc.core_points(rank) {
-            assignments[p as usize] = Assignment::Core(cluster);
-        }
-    }
+    // One sequential pass over the points: core points take their cell's
+    // component, the rest start as noise.
+    let mut assignments: Vec<Assignment> = (0u32..)
+        .zip(&cc.is_core)
+        .map(|(p, &core)| {
+            if core {
+                let rank = cc.rank_of_cell[cc.grid.cell_of_point(p) as usize];
+                Assignment::Core(component_of_rank[rank as usize])
+            } else {
+                Assignment::Noise
+            }
+        })
+        .collect();
     let threads = exec.pool.threads();
-    let queue = WorkQueue::new(
+    let queue = WorkQueue::balanced(
         (0..cc.grid.num_cells() as u32).map(|cell| cc.non_core_points(cell).len() as u64),
         threads,
     );
@@ -1068,6 +1078,89 @@ mod tests {
             pr.counter(Counter::UnionOps),
             pr.counter(Counter::EdgesFound)
         );
+    }
+
+    /// A one-thread run tests its edge tasks heaviest-first, as a
+    /// multi-worker run does, and so skips the pair that rank order would
+    /// send to a kd-tree or a Lemma 5 counter.
+    ///
+    /// Four core cells at ε = 1: `a` and `b` are [`bcp::open_pair`], which
+    /// the front end leaves open and which has no edge; `y`, above `a` and
+    /// right of `b`, has an edge to both; `z`, right of `y`, has an edge to
+    /// `a` and `y`. Input order makes the ranks `a < y < b < z`. In rank order
+    /// `a`'s task tests `(a, b)` before `y`'s task has joined `y` and `b`. `y`
+    /// is the heaviest task, so heaviest-first order joins `y`, `b` and `z`
+    /// first, and `a`'s task then skips `(a, b)` and `(a, z)`.
+    #[test]
+    fn one_thread_edge_stage_runs_heaviest_first() {
+        let clump = |x: f64, y: f64, n: usize| -> Vec<Point<2>> {
+            (0..n)
+                .map(|i| p2(x + (i % 20) as f64 * 1e-3, y + (i / 20) as f64 * 1e-3))
+                .collect()
+        };
+        let ab = bcp::open_pair(80, (0, 0));
+        let (a, b) = ab.split_at(160);
+        let mut pts = a.to_vec();
+        pts.extend(clump(0.2, 0.9, 400));
+        pts.extend_from_slice(b);
+        pts.extend(clump(0.9, 1.0, 300));
+        let p = params(1.0, 4);
+        let cc = CoreCells::build(&pts, p);
+        let rank = |p: Point<2>| {
+            let id = pts.iter().position(|&q| q == p).unwrap();
+            cc.rank_of_cell[cc.grid.cell_of_point(id as u32) as usize] as usize
+        };
+        let (ra, ry, rb) = (rank(a[0]), rank(p2(0.2, 0.9)), rank(b[0]));
+        assert_eq!((ra, ry, rb, cc.num_core_cells()), (0, 1, 2, 4));
+        assert_eq!(
+            bcp::front_end(&cc.core_block(ra), &cc.core_block(rb), 1.0),
+            bcp::Settled::Open
+        );
+
+        // The skips of a sequential loop over the tasks in `order`.
+        let skips = |order: &[usize]| {
+            let mut uf = UnionFind::new(cc.num_core_cells());
+            let mut skipped = 0u64;
+            for &r1 in order {
+                cc.for_candidate_partners(r1, |r2| {
+                    if uf.same(r1 as u32, r2 as u32) {
+                        skipped += 1;
+                    } else if bcp::within_threshold_brute(
+                        &pts,
+                        cc.core_points(r1),
+                        cc.core_points(r2),
+                        1.0,
+                    ) {
+                        uf.union(r1 as u32, r2 as u32);
+                    }
+                });
+            }
+            skipped
+        };
+        let mut heaviest: Vec<usize> = (0..cc.num_core_cells()).collect();
+        heaviest.sort_by_key(|&r| (std::cmp::Reverse(cc.edge_task_weight(r)), r));
+        assert_eq!(heaviest[0], ry);
+        let rank_order: Vec<usize> = (0..cc.num_core_cells()).collect();
+        assert!(
+            skips(&rank_order) < skips(&heaviest),
+            "rank order tests (a, b)"
+        );
+
+        for (algorithm, builds) in [
+            (EXACT, Counter::KdTreeBuilds),
+            (approx(0.001), Counter::CounterBuilds),
+        ] {
+            let stats = Stats::new();
+            run_par(&pts, algorithm, p, 1, &stats);
+            let r = stats.report();
+            assert_eq!(r.counter(Counter::EdgeTests), 6, "{algorithm:?}");
+            assert_eq!(
+                r.counter(Counter::EdgeTestsSkipped),
+                skips(&heaviest),
+                "{algorithm:?}"
+            );
+            assert_eq!(r.counter(builds), 0, "{algorithm:?}");
+        }
     }
 
     #[test]

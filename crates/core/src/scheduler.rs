@@ -10,7 +10,11 @@
 //!
 //! * tasks (cells, or per-cell bundles of ε-neighbor pair tests) are sorted
 //!   heaviest-first by a caller-supplied weight (point count, or the
-//!   Σ|a|·|b| brute-force cost bound of a cell's candidate pairs);
+//!   Σ|a|·|b| brute-force cost bound of a cell's candidate pairs). In the
+//!   edge stage the order also decides which pairs the union-find lets it
+//!   skip, so that queue runs heaviest-first even for a single claimant
+//!   ([`WorkQueue::new`]); per-cell stages sort only to balance claimants
+//!   ([`WorkQueue::balanced`]);
 //! * workers claim tasks one at a time through a single shared atomic index —
 //!   a worker that finishes early immediately claims the next-heaviest
 //!   unclaimed task instead of idling at a chunk barrier.
@@ -60,9 +64,10 @@ pub(crate) fn chunk_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 ///
 /// Task ids are `0..weights.len()` (`u32`); iteration order is heaviest
 /// weight first (ties by ascending id, so the order — though not the
-/// claim timing — is deterministic).
+/// claim timing — is deterministic), or natural order for
+/// [`WorkQueue::unweighted`].
 pub struct WorkQueue {
-    /// Task ids, heaviest first.
+    /// Task ids in claim order.
     order: Vec<u32>,
     /// Position in `order` of the next unclaimed task.
     next: AtomicUsize,
@@ -74,17 +79,46 @@ pub struct WorkQueue {
 }
 
 impl WorkQueue {
-    /// Builds a queue over tasks `0..weights.len()` for `workers` claimants.
+    /// Builds a queue over tasks `0..weights.len()` for `workers` claimants,
+    /// heaviest first at every claimant count.
+    ///
+    /// The order is not only load balance. In the fused edge stage a pair
+    /// whose cells the union-find already joins is skipped, so the order
+    /// decides how many pairs are tested at all: heavy cells first join the
+    /// graph through their many candidate pairs, and the light ones then
+    /// skip theirs. A single claimant needs it as much as several.
     pub fn new(weights: impl IntoIterator<Item = u64>, workers: usize) -> Self {
         let weights: Vec<u64> = weights.into_iter().collect();
         let mut order: Vec<u32> = (0..weights.len() as u32).collect();
-        // Heaviest-first ordering only matters for balancing tasks *across*
-        // claimants; a single worker drains the list in any order, so skip
-        // the sort (it is pure overhead on the threads=1 path).
-        if workers > 1 {
-            order.sort_by_key(|&t| (std::cmp::Reverse(weights[t as usize]), t));
-        }
+        order.sort_by_key(|&t| (std::cmp::Reverse(weights[t as usize]), t));
+        Self::from_order(order, workers)
+    }
 
+    /// A queue for tasks whose order changes no result and no counter, only
+    /// load balance and memory locality (per-cell labeling and border
+    /// assignment): heaviest first for several claimants, natural order for
+    /// one, which then reads the cells in storage order with no weight pass
+    /// and no sort.
+    pub fn balanced<I>(weights: I, workers: usize) -> Self
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        if workers > 1 {
+            Self::new(weights, workers)
+        } else {
+            Self::unweighted(weights.into_iter().len(), workers)
+        }
+    }
+
+    /// Builds a queue over `num_tasks` tasks in natural order, with no
+    /// weight pass: for tasks with no useful weight (the chunks of the grid
+    /// passes) and for [`WorkQueue::balanced`] on one claimant.
+    pub fn unweighted(num_tasks: usize, workers: usize) -> Self {
+        Self::from_order((0..num_tasks as u32).collect(), workers)
+    }
+
+    fn from_order(order: Vec<u32>, workers: usize) -> Self {
         let workers = workers.max(1);
         let mut bounds = vec![0usize; workers + 1];
         for (w, range) in chunk_ranges(order.len(), workers).into_iter().enumerate() {
@@ -101,17 +135,6 @@ impl WorkQueue {
             bounds,
             closed: AtomicBool::new(false),
         }
-    }
-
-    /// Builds a queue over `num_tasks` tasks in natural order, skipping the
-    /// weight pass entirely. Callers' weight functions can cost a full pass
-    /// over the task graph (e.g. [`edge_task_weight`] enumerates every
-    /// candidate pair), which buys nothing when `workers == 1` — a single
-    /// claimant drains the queue in any order.
-    ///
-    /// [`edge_task_weight`]: crate::cells::CoreCells::edge_task_weight
-    pub fn unweighted(num_tasks: usize, workers: usize) -> Self {
-        Self::new(std::iter::repeat_n(0, num_tasks), workers)
     }
 
     /// Number of tasks.

@@ -72,6 +72,87 @@ fn floor_i64(x: f64) -> i64 {
     t.saturating_sub(i64::from(t as f64 > x))
 }
 
+/// Cell indices `c` with `-2^52 ≤ c < 2^52` have a [`CellCoord::preimage`]:
+/// `c` and `c + 1` are exact `f64`s there.
+const PREIMAGE_LIMIT: i64 = 1 << 52;
+
+/// The position of `x` in the total order of `f64` ([`f64::total_cmp`]'s
+/// key): adjacent floats get adjacent keys, and the map is its own inverse.
+#[inline]
+fn order_key(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+#[inline]
+fn from_order_key(k: i64) -> f64 {
+    f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// The least finite `x` whose quotient `x / side` — the one
+/// [`CellCoord::try_of`] floors — is at least `k`, or `None` if no finite
+/// `x` has one. Division by a positive `side` is correctly rounded and so
+/// monotone in `x`: the `x` that qualify form an upper interval. The search
+/// starts at `k·side`, gallops outward by doubling steps in ulps until it
+/// brackets the interval's end, then bisects; every step asks the quotient
+/// itself, so the answer is exact however `k·side` was rounded.
+fn least_with_quotient_at_least(k: i64, side: f64) -> Option<f64> {
+    let k = k as f64;
+    let at_least = |key: i64| from_order_key(key) / side >= k;
+    let (lowest, highest) = (order_key(f64::NEG_INFINITY), order_key(f64::INFINITY));
+    // `no` fails the test and `yes` passes it; -inf always fails, +inf always passes.
+    let guess = order_key(k * side);
+    let (mut no, mut yes) = (guess, guess);
+    let mut step = 1i64;
+    if at_least(guess) {
+        while no > lowest && at_least(no) {
+            yes = no;
+            no = no.saturating_sub(step).max(lowest);
+            step = step.saturating_mul(2);
+        }
+    } else {
+        while yes < highest && !at_least(yes) {
+            no = yes;
+            yes = yes.saturating_add(step).min(highest);
+            step = step.saturating_mul(2);
+        }
+    }
+    while no + 1 < yes {
+        let mid = ((i128::from(no) + i128::from(yes)) / 2) as i64;
+        if at_least(mid) {
+            yes = mid;
+        } else {
+            no = mid;
+        }
+    }
+    Some(from_order_key(yes)).filter(|x| x.is_finite())
+}
+
+/// The exact preimage of one grid cell: the half-open box `[lo, hi)` of the
+/// points that [`CellCoord::try_of`] maps to it. See [`CellCoord::preimage`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct CellPreimage<const D: usize> {
+    /// Per dimension, the least coordinate in the cell; finite.
+    pub lo: [f64; D],
+    /// Per dimension, the least coordinate past the cell; finite.
+    pub hi: [f64; D],
+}
+
+impl<const D: usize> CellPreimage<D> {
+    /// Whether `lo ≤ p < hi` in every dimension, which holds exactly when
+    /// [`CellCoord::try_of`] maps `p` to the cell. Costs `2·D` comparisons and
+    /// no division; NaN and ±∞ coordinates are never inside (both bounds are
+    /// finite).
+    #[inline]
+    pub fn contains(&self, p: &Point<D>) -> bool {
+        let mut inside = true;
+        for i in 0..D {
+            inside &= (self.lo[i] <= p[i]) & (p[i] < self.hi[i]);
+        }
+        inside
+    }
+}
+
 /// Integer coordinates of a grid cell, for a grid anchored at the origin.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct CellCoord<const D: usize>(pub [i64; D]);
@@ -122,6 +203,33 @@ impl<const D: usize> CellCoord<D> {
             c[i] = floor_i64(q);
         }
         Ok(CellCoord(c))
+    }
+
+    /// The exact set of points that [`CellCoord::try_of`]`(p, side)` maps to
+    /// this cell, as a half-open box, or `None` when `side` is not positive
+    /// and finite, a coordinate lies outside `[-2^52, 2^52)`, or a bound of
+    /// the box would not be finite.
+    ///
+    /// Unlike [`CellCoord::aabb`], whose corners are the rounded products
+    /// `c·side`, the bounds here are found by asking the quotient `x / side`
+    /// itself, ulp by ulp, so a point is inside exactly when `try_of` would
+    /// put it in this cell. A caller that buckets many points in a row into
+    /// one cell can test membership with comparisons instead of divisions.
+    pub fn preimage(&self, side: f64) -> Option<CellPreimage<D>> {
+        if !(side > 0.0 && side.is_finite()) {
+            return None;
+        }
+        let mut lo = [0.0; D];
+        let mut hi = [0.0; D];
+        for i in 0..D {
+            let c = self.0[i];
+            if !(-PREIMAGE_LIMIT..PREIMAGE_LIMIT).contains(&c) {
+                return None;
+            }
+            lo[i] = least_with_quotient_at_least(c, side)?;
+            hi[i] = least_with_quotient_at_least(c + 1, side)?;
+        }
+        Some(CellPreimage { lo, hi })
     }
 
     /// The closed box occupied by this cell in a grid of side `side`.
@@ -239,6 +347,76 @@ mod tests {
                 assert_eq!(got.unwrap().0[0], x.floor() as i64, "x = {x:e}");
             }
         }
+    }
+
+    /// Both ends of every box agree with `try_of`: `lo` and the float below
+    /// `hi` land in the cell, the float below `lo` and `hi` itself do not. A
+    /// box one ulp too wide or too narrow at either end fails.
+    #[test]
+    fn preimage_ends_agree_with_try_of() {
+        let up = |x: f64| from_order_key(order_key(x) + 1);
+        let down = |x: f64| from_order_key(order_key(x) - 1);
+        let cell_of = |x: f64, side: f64| CellCoord::try_of(&Point([x]), side).ok().map(|c| c.0[0]);
+        let at = |x: f64| Point([x]);
+        let limit = PREIMAGE_LIMIT;
+        let mut cells: Vec<i64> = (-5..=5).collect();
+        cells.extend([limit - 2, limit - 1, -limit, -limit + 1]);
+        cells.extend([1 << 40, -(1 << 40) - 1, 123_456_789, -987_654_321]);
+        let sides = [
+            1e-3,
+            0.1,
+            1.0 / 2f64.sqrt(),
+            1.0,
+            3.0 / 3f64.sqrt(),
+            5000.0 / 5f64.sqrt(),
+            1e3,
+            700_000.1,
+            1e9,
+        ];
+        for side in sides {
+            for &c in &cells {
+                let what = format!("side {side:e} cell {c}");
+                let b = CellCoord([c]).preimage(side).expect(&what);
+                let (lo, hi) = (b.lo[0], b.hi[0]);
+                assert!(lo < hi, "{what}: [{lo:e}, {hi:e})");
+                assert_eq!(cell_of(lo, side), Some(c), "{what}: lo {lo:e}");
+                assert_eq!(cell_of(down(hi), side), Some(c), "{what}: below hi");
+                assert_ne!(cell_of(down(lo), side), Some(c), "{what}: below lo");
+                assert_ne!(cell_of(hi, side), Some(c), "{what}: hi {hi:e}");
+                assert!(b.contains(&at(lo)) && b.contains(&at(down(hi))), "{what}");
+                assert!(!b.contains(&at(down(lo))) && !b.contains(&at(hi)), "{what}");
+                assert!(b.contains(&at(up(lo))) || up(lo) == hi, "{what}");
+                // Neighbouring cells' boxes abut.
+                if let Some(next) = CellCoord([c + 1]).preimage(side) {
+                    assert_eq!(next.lo[0], hi, "{what}: next cell");
+                }
+            }
+            // Both zeros are in cell 0, and so is any quotient that rounds
+            // to -0.0; neither infinity nor NaN is in any box.
+            let zero = CellCoord([0]).preimage(side).unwrap();
+            for z in [0.0, -0.0, zero.lo[0]] {
+                assert_eq!(cell_of(z, side), Some(0), "side {side:e} x {z:e}");
+                assert!(zero.contains(&at(z)), "side {side:e} x {z:e}");
+            }
+            for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(!zero.contains(&at(x)), "side {side:e} x {x}");
+            }
+        }
+        // Past the cutoff, for a bad side, or with a bound past f64::MAX,
+        // there is no box.
+        assert_eq!(CellCoord([limit]).preimage(1.0), None);
+        assert_eq!(CellCoord([-limit - 1]).preimage(1.0), None);
+        assert_eq!(CellCoord([1 << 61]).preimage(1e-3), None);
+        for side in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(CellCoord([0]).preimage(side), None, "side {side}");
+        }
+        assert_eq!(CellCoord([1]).preimage(f64::MAX), None);
+        // In several dimensions, one coordinate past the cutoff is enough.
+        assert_eq!(CellCoord([0, limit]).preimage(1.0), None);
+        let b = CellCoord([-2, 3]).preimage(0.7).unwrap();
+        assert!(b.contains(&p2(b.lo[0], b.lo[1])));
+        assert!(!b.contains(&p2(b.lo[0], b.hi[1])));
+        assert!(!b.contains(&p2(down(b.lo[0]), b.lo[1])));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! order, point ids, cell of every point, neighbor lists and bit-identical
 //! SoA lanes, and the same refusal for bad input.
 
-use dbscan_geom::{CellError, Point};
+use dbscan_geom::{CellCoord, CellError, Point};
 use dbscan_index::{BuildError, GridIndex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -272,4 +272,96 @@ fn partition_moves_selected_points_first_and_keeps_lanes_aligned() {
             }
         }
     }
+}
+
+/// The float `k` steps from `x` in the total order of `f64`.
+fn ulps(x: f64, k: i64) -> f64 {
+    let flip = |b: i64| b ^ (((b >> 63) as u64) >> 1) as i64;
+    f64::from_bits(flip(flip(x.to_bits() as i64) + k) as u64)
+}
+
+/// Points whose coordinates mostly lie inside one cell and otherwise sit
+/// within a few ulps of a cell boundary `m·side` or at exact ±0.0: runs
+/// inside one cell, steps to a neighbouring cell, and jumps to far cells
+/// (up to 2^45 cells out, negative ones included).
+fn boundary_points<const D: usize>(n: usize, side: f64, seed: u64) -> Vec<Point<D>> {
+    let mut rng = Lcg(seed);
+    let mut pick = |k: u64| (rng.next(k as f64) as u64).min(k - 1) as i64;
+    let mut cell = [0i64; D];
+    (0..n)
+        .map(|_| {
+            match pick(40) {
+                0 => cell = std::array::from_fn(|_| (pick(1 << 46) - (1 << 45)) * pick(2)),
+                1..=6 => cell[pick(D as u64) as usize] += pick(3) - 1,
+                _ => {}
+            }
+            Point(std::array::from_fn(|d| match pick(24) {
+                0 => 0.0,
+                1 => -0.0,
+                2..=8 => ulps((cell[d] + pick(2)) as f64 * side, pick(7) - 3),
+                _ => (cell[d] as f64 + pick(1000) as f64 / 1000.0) * side,
+            }))
+        })
+        .collect()
+}
+
+/// Every point's cell is the one `CellCoord::try_of` names, at 1, 2 and 3
+/// chunks, on coordinates a few ulps either side of cell boundaries — so a
+/// bucket pass that trusts a preimage box one ulp too wide puts some point
+/// in the wrong cell. A bad coordinate put in the middle of a run of one
+/// cell is still refused with the error of the lowest offending id.
+#[test]
+fn bucketing_matches_try_of_at_cell_boundaries() {
+    fn check<const D: usize>(seed: u64) {
+        for eps in [1e-3, 0.75, 3.0, 5000.0, 1e9] {
+            let side = dbscan_geom::grid::base_side::<D>(eps);
+            let pts = boundary_points::<D>(4_000, side, seed);
+            let what = format!("seed={seed} D={D} eps={eps:e}");
+            for chunks in [1, 2, 3] {
+                let g = GridIndex::try_build_chunked(&pts, eps, None, chunks, reversed).unwrap();
+                for (i, p) in pts.iter().enumerate() {
+                    let want = CellCoord::try_of(p, side).unwrap();
+                    let got = g.cells()[g.cell_of_point(i as u32) as usize].coord;
+                    assert_eq!(got, want, "{what} chunks={chunks} point {i} {p:?}");
+                }
+            }
+            // Bad coordinates at the start of the second half of a run of
+            // one cell, two per input: the lower id must be reported.
+            let runs: Vec<usize> = (2..pts.len())
+                .filter(|&i| {
+                    let c = |j: usize| CellCoord::try_of(&pts[j], side).unwrap();
+                    c(i - 2) == c(i - 1) && c(i - 1) == c(i)
+                })
+                .map(|i| i - 1)
+                .collect();
+            assert!(runs.len() > 20, "{what}: the input has runs");
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3e300, -4e300];
+            for (k, &x) in bad.iter().enumerate() {
+                let (first, second) = (runs[runs.len() / 3 + k], runs[2 * runs.len() / 3]);
+                let mut broken = pts.clone();
+                broken[first][k % D] = x;
+                broken[second][(k + 1) % D] = bad[(k + 1) % bad.len()];
+                let want = broken
+                    .iter()
+                    .find_map(|p| CellCoord::try_of(p, side).err())
+                    .unwrap();
+                for chunks in [1, 2, 3] {
+                    let got = GridIndex::try_build_chunked(&broken, eps, None, chunks, reversed)
+                        .err()
+                        .map(|e| format!("{e:?}"));
+                    assert_eq!(
+                        got,
+                        Some(format!("{:?}", BuildError::Cell(want))),
+                        "{what} chunks={chunks} bad id {first}"
+                    );
+                }
+            }
+        }
+    }
+    let seed = 0x5eed_b0c5;
+    println!("bucketing_matches_try_of_at_cell_boundaries: seed {seed}");
+    check::<1>(seed);
+    check::<2>(seed + 1);
+    check::<3>(seed + 2);
+    check::<5>(seed + 3);
 }

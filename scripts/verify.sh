@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: every change must pass this before merging (see README).
 # Runs the format check, the release build, the full test suite, a
-# warning-free clippy sweep over all targets and warning-free docs, as CI
-# does. Fails fast on the first broken step.
+# warning-free clippy sweep over all targets and warning-free docs, then
+# the fault-injection, chaos, trace, daemon/loadgen/telemetry, deadline,
+# crash-durability, label and benchmark checks. CI runs this script.
+# Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,11 +14,11 @@ cargo fmt --all --check
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test -q =="
-cargo test -q
+echo "== tier-1: cargo test --workspace -q =="
+cargo test --workspace -q
 
-echo "== tier-1: cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== tier-1: cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fault-injection: clippy over the cfg(feature) code =="
 # The fault-injection paths (e.g. the daemon's `boom` job) only compile with
