@@ -7,11 +7,14 @@
 //! * all core points of one cell share a cluster (any two same-cell points are
 //!   within ε, so same-cell core points are directly density-reachable), so a
 //!   cell whose cluster is already collected is skipped outright;
-//! * within a cell, scanning stops at the first core point within ε.
+//! * a cell is settled from its exact preimage box when it can be: a cell
+//!   wholly outside `B(q, ε)` is rejected, and a cell wholly inside it, whose
+//!   core prefix is non-empty, is accepted, both without a distance;
+//! * within any other cell, scanning stops at the first core point within ε.
 
 use crate::cells::CoreCells;
 use dbscan_geom::kernels::any_within_block;
-use dbscan_geom::Point;
+use dbscan_geom::{BallCover, Point};
 
 /// Returns the sorted, deduplicated list of cluster ids owning a core point
 /// within ε of the non-core point `q`. Empty means `q` is noise.
@@ -35,10 +38,16 @@ pub fn assign_border_clusters<const D: usize>(
         if clusters.contains(&cluster) {
             return; // this cluster is already attested
         }
-        // Blocked scan over the core prefix of the cell's lanes — same
-        // ∃-within-ε answer as the scalar id walk (identical accumulation
-        // order; see `dbscan_geom::kernels`), early-exiting between blocks.
-        if any_within_block(q_pt, &cc.core_block(rank as usize), eps_sq) {
+        let attested = match cc.grid.ball_cover(cell, q_pt, eps_sq) {
+            BallCover::Covered => true,
+            BallCover::Disjoint => false,
+            // Blocked scan over the core prefix of the cell's lanes — same
+            // ∃-within-ε answer as the scalar id walk (identical
+            // accumulation order; see `dbscan_geom::kernels`),
+            // early-exiting between blocks.
+            BallCover::Straddles => any_within_block(q_pt, &cc.core_block(rank as usize), eps_sq),
+        };
+        if attested {
             clusters.push(cluster);
         }
     };
@@ -107,6 +116,59 @@ mod tests {
         let mut uf = connect_with(&pts, &cc, 1, |_, _| true);
         let (labels, _) = uf.compact_labels();
         assert!(assign_border_clusters(&pts, &cc, &labels, 3).is_empty());
+    }
+
+    /// A border point whose ε-neighbor cells with core points are settled
+    /// from their boxes alone: the cell beside it lies inside `B(q, ε)` and
+    /// is accepted, the cell two over lies outside and is rejected.
+    #[test]
+    fn border_cells_are_settled_by_their_boxes() {
+        // ε = √2 makes the cell side exactly 1: cell (i, j) = [i, i+1) × [j, j+1).
+        let pts = vec![
+            p2(0.9, 0.5), // q, in cell (0, 0)
+            // Core points in cell (1, 0), within ε of q, ...
+            p2(1.5, 0.5),
+            p2(1.6, 0.5),
+            // ... made core by two points in cell (2, 0) beyond q's reach.
+            p2(2.5, 0.5),
+            p2(2.6, 0.5),
+            // A second cluster in cell (-2, 0), an ε-neighbor of q's cell
+            // that holds no point within ε of q.
+            p2(-1.5, 0.5),
+            p2(-1.4, 0.5),
+            p2(-1.6, 0.5),
+            p2(-1.5, 0.6),
+        ];
+        let params = DbscanParams::new(2f64.sqrt(), 4).unwrap();
+        let eps_sq = params.eps() * params.eps();
+        let cc = CoreCells::build(&pts, params);
+        assert_eq!(cc.grid.side(), 1.0);
+        assert!(!cc.is_core[0] && cc.is_core[1..].iter().all(|&c| c));
+        let (q, right, left) = (&pts[0], cc.grid.cell_of_point(1), cc.grid.cell_of_point(5));
+        assert!(cc
+            .grid
+            .neighbors_of(cc.grid.cell_of_point(0))
+            .contains(&left));
+        assert_eq!(cc.grid.ball_cover(right, q, eps_sq), BallCover::Covered);
+        assert_eq!(cc.grid.ball_cover(left, q, eps_sq), BallCover::Disjoint);
+
+        let mut uf = connect_with(&pts, &cc, 1, |r1, r2| {
+            crate::bcp::within_threshold_brute(
+                &pts,
+                cc.core_points(r1),
+                cc.core_points(r2),
+                params.eps(),
+            )
+        });
+        let (labels, k) = uf.compact_labels();
+        assert_eq!(k, 2);
+        let cluster_of =
+            |p: u32| labels[cc.rank_of_cell[cc.grid.cell_of_point(p) as usize] as usize];
+        assert_ne!(cluster_of(1), cluster_of(5));
+        assert_eq!(
+            assign_border_clusters(&pts, &cc, &labels, 0),
+            vec![cluster_of(1)]
+        );
     }
 
     #[test]

@@ -1,5 +1,9 @@
 //! Core-point labeling on the side-`ε/√d` grid (the "labeling process" of
 //! Section 2.2, which carries over verbatim to d ≥ 3 in Section 3.2).
+//!
+//! A point of a sparse cell is labeled by counting its ε-ball cell by cell:
+//! ε-neighbor cells inside or outside the ball are settled whole from their
+//! exact preimage boxes, and only the cells the sphere cuts are scanned.
 
 use crate::error::DbscanError;
 use crate::parallel::{Exec, LABELING};
@@ -16,12 +20,17 @@ use std::sync::Mutex;
 ///
 /// Cells holding at least `MinPts` points are all-core without any distance
 /// computation (every same-cell pair is within ε by the grid's construction).
-/// Points in sparser cells count their ε-ball by scanning the O(1) ε-neighbor
-/// cells with an early stop at `MinPts`, which is what bounds the whole pass by
-/// O(MinPts · n) expected time. With an enabled sink each worker counts its
-/// explicit distance computations ([`Counter::GridPointsExamined`]; the
-/// dense-cell shortcut and the same-cell guarantee are free and not counted)
-/// and neighborhood kernel calls ([`Counter::BlockKernelCalls`]).
+/// Points in sparser cells count their ε-ball over their own cell and the
+/// O(1) ε-neighbor cells with an early stop at `MinPts`
+/// ([`GridIndex::count_within_eps`]), which is what bounds the whole pass by
+/// O(MinPts · n) expected time. A cell that lies wholly inside or wholly
+/// outside the ball, by its exact preimage box, is counted or skipped
+/// without visiting its points (the paper's Lemma 5 counter does the same
+/// for its boxes); only cells that straddle the sphere are scanned. With an
+/// enabled sink each worker counts its explicit distance computations
+/// ([`Counter::GridPointsExamined`]; the dense-cell shortcut and box-settled
+/// cells are free and not counted) and the cells it scanned
+/// ([`Counter::BlockKernelCalls`]).
 ///
 /// Labeling has no approximate fallback, so `degrade` continues exact here
 /// (the switch only affects the edge phase); only `partial`/`abort` stop the
@@ -57,13 +66,10 @@ pub(crate) fn label_core_points<const D: usize, S: StatsSink>(
                 return;
             }
             for &p in ids {
-                let count = if S::ENABLED {
-                    t.kernel_calls += 1;
-                    grid.count_within_eps_counted(points, p, min_pts, &mut t.examined)
-                } else {
-                    grid.count_within_eps(points, p, min_pts)
-                };
-                if count >= min_pts {
+                let found = grid.count_within_eps(points, p, min_pts);
+                t.examined += found.examined as u64;
+                t.kernel_calls += found.scans as u64;
+                if found.count >= min_pts {
                     t.core_ids.push(p);
                 }
             }

@@ -149,7 +149,8 @@ pub enum Counter {
     /// Index nodes visited while answering counted probes and region
     /// queries (kd-tree/R-tree nodes; the linear scan counts points).
     IndexNodesVisited,
-    /// Points examined by the grid labeling step's neighborhood counting.
+    /// Points whose distance the grid labeling step computed while counting
+    /// neighborhoods; cells settled whole by their preimage boxes add none.
     GridPointsExamined,
     /// Union-find `union` calls.
     UnionOps,
@@ -172,10 +173,10 @@ pub enum Counter {
     /// [`crate::RecoveryPolicy::FallbackSequential`] after a worker panic.
     SequentialFallbacks,
     /// Kernel-backed distance-primitive dispatches from instrumented paths:
-    /// one per counted neighborhood scan in labeling and one per blocked
-    /// BCP predicate or exact front-end call in the edge phase (see
-    /// `dbscan_geom::kernels`). Zero on paths that never touch a blocked
-    /// kernel (e.g. `FullBcp` strategies).
+    /// one per cell that labeling scans (a cell its preimage box settles is
+    /// not scanned) and one per blocked BCP predicate or exact front-end
+    /// call in the edge phase (see `dbscan_geom::kernels`). Zero on paths
+    /// that never touch a blocked kernel (e.g. `FullBcp` strategies).
     BlockKernelCalls,
     /// Core cells that finished the edge phase without ever building their
     /// heavy per-cell structure (kd-tree in the exact algorithm, Lemma 5

@@ -151,6 +151,58 @@ impl<const D: usize> CellPreimage<D> {
         }
         inside
     }
+
+    /// Where the box stands against the closed ball `B(q, √eps_sq)`, decided
+    /// without visiting a point and exactly as the points' own distances
+    /// would decide it.
+    ///
+    /// Per dimension the *near* gap is the rounded distance from `q` to the
+    /// box's nearer face (zero when `q` lies between the faces) and the *far*
+    /// gap the rounded distance to its farther face; both are squared and
+    /// summed in ascending dimension order, the order of [`Point::dist_sq`]
+    /// and of the blocked kernels. Subtraction, squaring and addition round
+    /// monotonically, so for every point `p` of the box the computed
+    /// `p.dist_sq(q)` lies between the near and the far sum. A far sum at
+    /// most `eps_sq` therefore puts every point of the box in the ball, and
+    /// a near sum above it puts none there. The far gap is taken to `hi`,
+    /// which no point of the box reaches, so it can only err toward
+    /// [`BallCover::Straddles`].
+    #[inline]
+    pub fn ball_cover(&self, q: &Point<D>, eps_sq: f64) -> BallCover {
+        let (mut near, mut far) = (0.0, 0.0);
+        for i in 0..D {
+            let (lo, hi) = (self.lo[i] - q[i], self.hi[i] - q[i]);
+            let n = if lo > 0.0 {
+                lo
+            } else if hi < 0.0 {
+                -hi
+            } else {
+                0.0
+            };
+            let f = (-lo).max(hi);
+            near += n * n;
+            far += f * f;
+        }
+        if far <= eps_sq {
+            BallCover::Covered
+        } else if near > eps_sq {
+            BallCover::Disjoint
+        } else {
+            BallCover::Straddles
+        }
+    }
+}
+
+/// How a closed ball meets the points of one box; see
+/// [`CellPreimage::ball_cover`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum BallCover {
+    /// Every point of the box is in the ball.
+    Covered,
+    /// No point of the box is in the ball.
+    Disjoint,
+    /// Neither could be shown from the box: its points must be scanned.
+    Straddles,
 }
 
 /// Integer coordinates of a grid cell, for a grid anchored at the origin.
@@ -417,6 +469,69 @@ mod tests {
         assert!(b.contains(&p2(b.lo[0], b.lo[1])));
         assert!(!b.contains(&p2(b.lo[0], b.hi[1])));
         assert!(!b.contains(&p2(down(b.lo[0]), b.lo[1])));
+    }
+
+    /// Ties decide for the ball: a far gap of exactly `eps_sq` covers the
+    /// box and a near gap of exactly `eps_sq` does not rule it out. Either
+    /// comparison made strict the other way fails here.
+    #[test]
+    fn ball_cover_settles_exact_ties_for_the_ball() {
+        // Side 1: the box of cell (0, 0) is [0, 1) × [0, 1).
+        let b = CellCoord([0i64, 0]).preimage(1.0).unwrap();
+        let q = p2(2.0, 0.0);
+        // Near gap 1 (to x = 1), far gap 2² + 1² = 5 (to the corner (0, 1)).
+        assert_eq!(b.ball_cover(&q, 5.0), BallCover::Covered);
+        assert_eq!(b.ball_cover(&q, 4.999), BallCover::Straddles);
+        assert_eq!(b.ball_cover(&q, 1.0), BallCover::Straddles);
+        assert_eq!(b.ball_cover(&q, 0.999), BallCover::Disjoint);
+        // From inside the box the near gap is 0, so nothing is disjoint.
+        let inside = p2(0.25, 0.5);
+        assert_eq!(b.ball_cover(&inside, 0.0), BallCover::Straddles);
+        assert_eq!(
+            b.ball_cover(&inside, 0.75 * 0.75 + 0.5 * 0.5),
+            BallCover::Covered
+        );
+    }
+
+    /// The verdict agrees with the computed distance of every point of the
+    /// box tried, points one ulp inside its faces included.
+    #[test]
+    fn ball_cover_agrees_with_point_distances() {
+        let up = |x: f64| from_order_key(order_key(x) + 1);
+        let down = |x: f64| from_order_key(order_key(x) - 1);
+        for side in [0.1, 1.0 / 3f64.sqrt(), 5000.0 / 5f64.sqrt()] {
+            let b = CellCoord([3i64, -2, 0]).preimage(side).unwrap();
+            let xs = |i: usize| {
+                let (lo, hi) = (b.lo[i], b.hi[i]);
+                [lo, up(lo), 0.5 * (lo + hi), down(down(hi)), down(hi)]
+            };
+            let mut pts = Vec::new();
+            for x in xs(0) {
+                for y in xs(1) {
+                    for z in xs(2) {
+                        pts.push(Point([x, y, z]));
+                    }
+                }
+            }
+            let probes = [
+                Point([b.lo[0], b.lo[1], b.lo[2]]),
+                Point([b.hi[0] + side, b.lo[1] - side, 0.0]),
+                Point([b.lo[0] - 0.3 * side, b.hi[1], b.hi[2] + 0.2 * side]),
+            ];
+            for q in probes {
+                for p in &pts {
+                    let d = p.dist_sq(&q);
+                    for eps_sq in [d, up(d), down(d), 0.5 * d, 2.0 * d] {
+                        let within = d <= eps_sq;
+                        match b.ball_cover(&q, eps_sq) {
+                            BallCover::Covered => assert!(within, "{p:?} {q:?} {eps_sq}"),
+                            BallCover::Disjoint => assert!(!within, "{p:?} {q:?} {eps_sq}"),
+                            BallCover::Straddles => {}
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod kernels;
 pub mod point;
 
 pub use aabb::Aabb;
-pub use cell::{CellCoord, CellError, CellPreimage};
+pub use cell::{BallCover, CellCoord, CellError, CellPreimage};
 pub use hash::{FastHashMap, FastHashSet};
 pub use point::Point;
 

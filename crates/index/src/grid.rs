@@ -13,6 +13,13 @@
 //! dimension per cell, so neighborhood scans run the blocked kernels of
 //! [`dbscan_geom::kernels`] over unit-stride data.
 //!
+//! Every cell also keeps its exact preimage box ([`CellCoord::preimage`]),
+//! the set of points the bucketing puts in it. An ε-query
+//! ([`GridIndex::count_within_eps`], and border assignment through
+//! [`GridIndex::ball_cover`]) settles a cell that lies wholly inside or
+//! wholly outside the ball from the box alone, with no distance computed,
+//! and scans only the cells that straddle the sphere.
+//!
 //! # Chunked build
 //!
 //! [`GridIndex::try_build_chunked`] builds the grid in passes of `chunks`
@@ -21,14 +28,15 @@
 //!
 //! 1. *bucket*: each task computes the cell of every point of one contiguous
 //!    id range. Consecutive points usually share a cell, so the task keeps
-//!    the last cell's exact preimage box ([`CellCoord::preimage`]): a point
-//!    inside it costs `2·D` comparisons instead of `D` divisions and floors.
-//!    Any other point goes through [`CellCoord::try_of`] and a chunk-local
-//!    hash map;
-//! 2. *merge* (on the caller): cells are numbered in global first-occurrence
-//!    order — chunk by chunk, each chunk's cells in its own first-occurrence
-//!    order — and per-(chunk, cell) prefix sums give every chunk a disjoint
-//!    sub-slice of each of its cells' id ranges, earlier chunks first;
+//!    the last two cells' exact preimage boxes ([`CellCoord::preimage`]): a
+//!    point inside one costs at most `4·D` comparisons instead of `D`
+//!    divisions and floors. Any other point goes through
+//!    [`CellCoord::try_of`] and a chunk-local hash map;
+//! 2. *merge* (on the caller): cells, with their boxes, are numbered in
+//!    global first-occurrence order — chunk by chunk, each chunk's cells in
+//!    its own first-occurrence order — and per-(chunk, cell) prefix sums
+//!    give every chunk a disjoint sub-slice of each of its cells' id
+//!    ranges, earlier chunks first;
 //! 3. *scatter*: each task writes its ids into those sub-slices (so ids stay
 //!    ascending within a cell) and rewrites its points' chunk-local cell
 //!    numbers to global ones;
@@ -41,17 +49,19 @@
 use crate::error::{check_budget, BuildError};
 use crate::kdtree::KdTree;
 use dbscan_geom::kernels::{self, SoaBlock};
-use dbscan_geom::{CellCoord, CellError, CellPreimage, FastHashMap, Point};
+use dbscan_geom::{BallCover, CellCoord, CellError, CellPreimage, FastHashMap, Point};
 use std::mem::{size_of, take};
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
-/// One non-empty grid cell: its integer coordinates and the range it owns in
-/// the grid's point-id array and SoA coordinate lanes.
+/// One non-empty grid cell: its integer coordinates, its exact preimage box
+/// and the range it owns in the grid's point-id array and SoA coordinate
+/// lanes.
 pub struct Cell<const D: usize> {
     pub coord: CellCoord<D>,
     start: u32,
     len: u32,
+    preimage: Option<CellPreimage<D>>,
 }
 
 impl<const D: usize> Cell<D> {
@@ -85,10 +95,6 @@ pub struct GridIndex<const D: usize> {
     /// Flattened ε-neighbor lists (cell indices, excluding the cell itself).
     neighbors: Vec<u32>,
     neighbor_ranges: Vec<(u32, u32)>,
-    /// Whether two points sharing a cell are guaranteed within ε (true up to
-    /// floating-point rounding of the side length; when rounding makes the cell
-    /// diagonal marginally exceed ε we fall back to explicit distance checks).
-    same_cell_within_eps: bool,
 }
 
 /// The runner of [`GridIndex::try_build`]: every task inline, in order.
@@ -128,19 +134,20 @@ fn run_chunks<W: Send, O: Send, E>(
         .collect())
 }
 
-/// One bucket task's result: its cells in first-occurrence order with their
-/// point counts in the chunk, and the map that numbered them.
+/// One bucket task's result: its cells in first-occurrence order, each with
+/// its point count in the chunk and its preimage box, and the map that
+/// numbered them.
 struct Buckets<const D: usize> {
-    cells: Vec<(CellCoord<D>, u32)>,
+    cells: Vec<Cell<D>>,
     map: FastHashMap<CellCoord<D>, u32>,
 }
 
 /// Buckets the points of one chunk: writes each point's chunk-local cell
-/// number into `local`. A point inside the last cell's exact preimage box
-/// ([`CellCoord::preimage`], computed once per chunk-local cell) costs
-/// comparisons only; any other point, including a NaN, infinite or
-/// overflowing one, goes through [`CellCoord::try_of`] and the map. Stops at
-/// the chunk's first unrepresentable coordinate, which is its lowest
+/// number into `local`. A point inside one of the last two cells' exact
+/// preimage boxes ([`CellCoord::preimage`], computed once per chunk-local
+/// cell) costs comparisons only; any other point, including a NaN, infinite
+/// or overflowing one, goes through [`CellCoord::try_of`] and the map. Stops
+/// at the chunk's first unrepresentable coordinate, which is its lowest
 /// offending id.
 fn bucket<const D: usize>(
     points: &[Point<D>],
@@ -148,24 +155,33 @@ fn bucket<const D: usize>(
     local: &mut [u32],
 ) -> Result<Buckets<D>, CellError> {
     let mut map: FastHashMap<CellCoord<D>, u32> = FastHashMap::default();
-    let mut cells: Vec<(CellCoord<D>, u32)> = Vec::new();
-    let mut boxes: Vec<Option<CellPreimage<D>>> = Vec::new();
-    let mut last: Option<(CellPreimage<D>, u32)> = None;
+    let mut cells: Vec<Cell<D>> = Vec::new();
+    // The boxes of the last two cells met, the latest first.
+    let mut recent: [Option<(CellPreimage<D>, u32)>; 2] = [None, None];
     for (p, slot) in points.iter().zip(local.iter_mut()) {
-        let idx = match &last {
-            Some((b, idx)) if b.contains(p) => *idx,
+        let idx = match &recent {
+            [Some((b, idx)), _] if b.contains(p) => *idx,
+            [_, Some((b, idx))] if b.contains(p) => {
+                let idx = *idx;
+                recent.swap(0, 1);
+                idx
+            }
             _ => {
                 let coord = CellCoord::try_of(p, side)?;
                 let idx = *map.entry(coord).or_insert_with(|| {
-                    cells.push((coord, 0));
-                    boxes.push(coord.preimage(side));
+                    cells.push(Cell {
+                        coord,
+                        start: 0,
+                        len: 0,
+                        preimage: coord.preimage(side),
+                    });
                     (cells.len() - 1) as u32
                 });
-                last = boxes[idx as usize].map(|b| (b, idx));
+                recent = [cells[idx as usize].preimage.map(|b| (b, idx)), recent[0]];
                 idx
             }
         };
-        cells[idx as usize].1 += 1;
+        cells[idx as usize].len += 1;
         *slot = idx;
     }
     Ok(Buckets { cells, map })
@@ -212,9 +228,10 @@ fn lanes_of<const D: usize>(region: &mut [f64], len: usize) -> [&mut [f64]; D] {
 
 impl<const D: usize> GridIndex<D> {
     /// Approximate resident heap footprint of the built index in bytes,
-    /// counting the backing buffers (cells, point buckets, SoA lanes,
-    /// neighbor lists). Used by hosts that cache built indexes under a byte
-    /// budget; the estimate deliberately ignores allocator slack.
+    /// counting the backing buffers (cells with their preimage boxes, point
+    /// buckets, SoA lanes, neighbor lists). Used by hosts that cache built
+    /// indexes under a byte budget; the estimate deliberately ignores
+    /// allocator slack.
     pub fn approx_bytes(&self) -> u64 {
         (self.cells.len() * std::mem::size_of::<Cell<D>>()
             + self.point_ids.len() * std::mem::size_of::<u32>()
@@ -299,39 +316,33 @@ impl<const D: usize> GridIndex<D> {
         let mut buckets = run_chunks(&run, work, |(pts, local)| bucket(pts, side, local))?
             .into_iter()
             .collect::<Result<Vec<Buckets<D>>, CellError>>()
-            .map_err(BuildError::Cell)?;
+            .map_err(BuildError::Cell)?
+            .into_iter();
 
         // Merge: number cells in global first-occurrence order. Chunk 0's
-        // numbering is already global, and its map grows into the global one.
-        let mut map = take(&mut buckets[0].map);
-        let mut cells: Vec<Cell<D>> = buckets[0]
-            .cells
-            .iter()
-            .map(|&(coord, len)| Cell {
-                coord,
-                start: 0,
-                len,
-            })
-            .collect();
+        // numbering is already global, and its cells and map grow into the
+        // global ones. `counts[t][l]` is how many points chunk `t` has in
+        // its cell `l`, and `global_of[t][l]` that cell's global number.
+        let first = buckets.next().expect("at least one chunk");
+        let (mut map, mut cells) = (first.map, first.cells);
+        let mut counts: Vec<Vec<u32>> = vec![cells.iter().map(|c| c.len).collect()];
         let mut global_of: Vec<Vec<u32>> = vec![(0..cells.len() as u32).collect()];
-        for b in &mut buckets[1..] {
-            drop(take(&mut b.map));
-            let global = b
+        for b in buckets {
+            drop(b.map);
+            let (count, global) = b
                 .cells
-                .iter()
-                .map(|&(coord, count)| {
-                    let g = *map.entry(coord).or_insert_with(|| {
-                        cells.push(Cell {
-                            coord,
-                            start: 0,
-                            len: 0,
-                        });
+                .into_iter()
+                .map(|cell| {
+                    let count = cell.len;
+                    let g = *map.entry(cell.coord).or_insert_with(|| {
+                        cells.push(Cell { len: 0, ..cell });
                         (cells.len() - 1) as u32
                     });
                     cells[g as usize].len += count;
-                    g
+                    (count, g)
                 })
-                .collect();
+                .unzip();
+            counts.push(count);
             global_of.push(global);
         }
         drop(map);
@@ -360,24 +371,21 @@ impl<const D: usize> GridIndex<D> {
             cell_rest.push(split_front(&mut rest, cell.len()));
         }
         let mut rest = &mut cell_of_point[..];
-        let work: Vec<_> = buckets
+        let work: Vec<_> = counts
             .iter()
             .zip(global_of)
             .enumerate()
-            .map(|(t, (b, global))| {
+            .map(|(t, (count, global))| {
                 let r = chunk_range(n, chunks, t);
-                let targets: Vec<&mut [u32]> = b
-                    .cells
+                let targets: Vec<&mut [u32]> = count
                     .iter()
                     .zip(&global)
-                    .map(|(&(_, count), &g)| {
-                        split_front(&mut cell_rest[g as usize], count as usize)
-                    })
+                    .map(|(&count, &g)| split_front(&mut cell_rest[g as usize], count as usize))
                     .collect();
                 (r.start, split_front(&mut rest, r.len()), targets, global)
             })
             .collect();
-        drop(buckets);
+        drop(counts);
         run_chunks(&run, work, |(lo, local, mut targets, global)| {
             for (i, slot) in (lo as u32..).zip(local.iter_mut()) {
                 let l = *slot as usize;
@@ -451,7 +459,6 @@ impl<const D: usize> GridIndex<D> {
             )?;
         }
 
-        let same_cell_within_eps = side * side * (D as f64) <= eps * eps;
         Ok(GridIndex {
             eps,
             side,
@@ -461,7 +468,6 @@ impl<const D: usize> GridIndex<D> {
             cell_of_point,
             neighbors,
             neighbor_ranges,
-            same_cell_within_eps,
         })
     }
 
@@ -587,73 +593,74 @@ impl<const D: usize> GridIndex<D> {
         &self.neighbors[s as usize..e as usize]
     }
 
+    /// How the closed ball `B(q, √eps_sq)` meets the points of cell
+    /// `cell_idx`, from the cell's preimage box alone
+    /// ([`CellPreimage::ball_cover`]); a cell without a box straddles.
+    #[inline]
+    pub fn ball_cover(&self, cell_idx: u32, q: &Point<D>, eps_sq: f64) -> BallCover {
+        match &self.cells[cell_idx as usize].preimage {
+            Some(b) => b.ball_cover(q, eps_sq),
+            None => BallCover::Straddles,
+        }
+    }
+
     /// Counts dataset points within the closed ball `B(q, ε)`, where `q` is the
     /// dataset point with index `q_idx`, stopping early at `cap`.
     ///
-    /// Points sharing `q`'s cell are within ε by the grid's defining property, so
-    /// they are counted without distance computations; neighbor cells are scanned
-    /// with the blocked SoA kernel (branchless within a block, cap check between
-    /// blocks). With `cap = MinPts` this is the paper's labeling step:
-    /// O(MinPts) work per neighbor cell, O(1) neighbor cells.
-    pub fn count_within_eps(&self, points: &[Point<D>], q_idx: u32, cap: usize) -> usize {
+    /// `q`'s own cell and its ε-neighbor cells are first settled whole from
+    /// their preimage boxes ([`GridIndex::ball_cover`]): a cell inside the
+    /// ball adds its size, a cell outside it adds nothing, neither at the
+    /// cost of a distance. The own cell is inside unless `q` sits at a corner
+    /// of it, or the cell has no box. Only if those fall short of `cap` are
+    /// the cells that straddle the sphere scanned, with the blocked SoA
+    /// kernel (branchless within a block, cap check between blocks). The
+    /// count is the one a scan of every cell would give. With `cap = MinPts`
+    /// this is the paper's labeling step: O(MinPts) work per neighbor cell,
+    /// O(1) neighbor cells.
+    pub fn count_within_eps(&self, points: &[Point<D>], q_idx: u32, cap: usize) -> EpsCount {
         let q = &points[q_idx as usize];
-        let cell_idx = self.cell_of_point[q_idx as usize];
+        let own = self.cell_of_point[q_idx as usize];
         let eps_sq = self.eps * self.eps;
-
-        let mut count = if self.same_cell_within_eps {
-            self.cells[cell_idx as usize].len()
-        } else {
-            kernels::count_within_block(q, &self.cell_block(cell_idx), eps_sq)
-        };
-        if count >= cap {
-            return count.min(cap);
-        }
-        for &nb in self.neighbors_of(cell_idx) {
-            let (c, _) =
-                kernels::count_within_block_capped(q, &self.cell_block(nb), eps_sq, cap - count);
-            count += c;
-            if count >= cap {
-                return cap;
+        let cells = || std::iter::once(&own).chain(self.neighbors_of(own));
+        let mut out = EpsCount::default();
+        for &c in cells() {
+            if out.count >= cap {
+                break;
+            }
+            if self.ball_cover(c, q, eps_sq) == BallCover::Covered {
+                out.count += self.cells[c as usize].len();
             }
         }
-        count
-    }
-
-    /// Counted twin of [`Self::count_within_eps`]: adds to `examined` the number
-    /// of points whose distance to `q` was actually computed (own-cell points
-    /// taken on the grid guarantee are free and not counted). Kept separate so
-    /// the labeling hot path carries no extra bookkeeping.
-    pub fn count_within_eps_counted(
-        &self,
-        points: &[Point<D>],
-        q_idx: u32,
-        cap: usize,
-        examined: &mut u64,
-    ) -> usize {
-        let q = &points[q_idx as usize];
-        let cell_idx = self.cell_of_point[q_idx as usize];
-        let eps_sq = self.eps * self.eps;
-
-        let mut count = if self.same_cell_within_eps {
-            self.cells[cell_idx as usize].len()
-        } else {
-            *examined += self.cells[cell_idx as usize].len() as u64;
-            kernels::count_within_block(q, &self.cell_block(cell_idx), eps_sq)
-        };
-        if count >= cap {
-            return count.min(cap);
-        }
-        for &nb in self.neighbors_of(cell_idx) {
-            let (c, ex) =
-                kernels::count_within_block_capped(q, &self.cell_block(nb), eps_sq, cap - count);
-            *examined += ex as u64;
-            count += c;
-            if count >= cap {
-                return cap;
+        for &c in cells() {
+            if out.count >= cap {
+                break;
+            }
+            if self.ball_cover(c, q, eps_sq) == BallCover::Straddles {
+                let (n, ex) = kernels::count_within_block_capped(
+                    q,
+                    &self.cell_block(c),
+                    eps_sq,
+                    cap - out.count,
+                );
+                out.count += n;
+                out.examined += ex;
+                out.scans += 1;
             }
         }
-        count
+        out.count = out.count.min(cap);
+        out
     }
+}
+
+/// What one [`GridIndex::count_within_eps`] call found, and what it cost.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct EpsCount {
+    /// Points within ε of the query, itself included, clamped to the cap.
+    pub count: usize,
+    /// Points whose distance to the query was computed.
+    pub examined: usize,
+    /// Cells scanned with the blocked kernel.
+    pub scans: usize,
 }
 
 #[cfg(test)]
@@ -731,29 +738,58 @@ mod tests {
                 .iter()
                 .filter(|p| p.dist_sq(&pts[q as usize]) <= eps * eps)
                 .count();
-            assert_eq!(g.count_within_eps(&pts, q, usize::MAX), brute, "q={q}");
-            // Capped version agrees up to the cap.
-            assert_eq!(g.count_within_eps(&pts, q, 3), brute.min(3));
-            // Counted twin agrees with both.
-            let mut examined = 0u64;
-            assert_eq!(
-                g.count_within_eps_counted(&pts, q, usize::MAX, &mut examined),
-                brute
+            let full = g.count_within_eps(&pts, q, usize::MAX);
+            assert_eq!(full.count, brute, "q={q}");
+            // The capped count agrees up to the cap and costs no more.
+            let capped = g.count_within_eps(&pts, q, 3);
+            assert_eq!(capped.count, brute.min(3));
+            assert!(
+                capped.examined <= full.examined,
+                "the cap can only reduce work"
             );
-            let mut capped_examined = 0u64;
-            assert_eq!(
-                g.count_within_eps_counted(&pts, q, 3, &mut capped_examined),
-                brute.min(3)
-            );
-            assert!(capped_examined <= examined, "the cap can only reduce work");
         }
+    }
+
+    /// On a side-1 line, `q = 1` has cell 0 = [0, 1) at a far gap of exactly
+    /// ε = 1 and cell 2 = [2, 3) at a near gap of exactly ε. Cell 0 is
+    /// counted whole without a distance; cell 2 must be scanned, because
+    /// its point at 2 is in the closed ball.
+    #[test]
+    fn count_within_eps_settles_ties_for_the_ball() {
+        let pts: Vec<Point<1>> = [1.0, 0.0, 0.5, 0.75, 2.0, 2.5].map(|x| Point([x])).to_vec();
+        let g = GridIndex::build(&pts, 1.0);
+        assert_eq!(g.side(), 1.0);
+        let eps_sq = 1.0;
+        let cell = |x: f64| g.cell_of_point(pts.iter().position(|p| p[0] == x).unwrap() as u32);
+        assert_eq!(g.ball_cover(cell(0.0), &pts[0], eps_sq), BallCover::Covered);
+        assert_eq!(
+            g.ball_cover(cell(2.0), &pts[0], eps_sq),
+            BallCover::Straddles
+        );
+        assert_eq!(
+            g.count_within_eps(&pts, 0, usize::MAX),
+            EpsCount {
+                count: 5,
+                examined: 2,
+                scans: 1
+            }
+        );
+        // Cell 0 alone reaches a cap of 4, so nothing is scanned.
+        assert_eq!(
+            g.count_within_eps(&pts, 0, 4),
+            EpsCount {
+                count: 4,
+                examined: 0,
+                scans: 0
+            }
+        );
     }
 
     #[test]
     fn single_point_counts_itself() {
         let pts = vec![p2(4.0, 4.0)];
         let g = GridIndex::build(&pts, 1.0);
-        assert_eq!(g.count_within_eps(&pts, 0, usize::MAX), 1);
+        assert_eq!(g.count_within_eps(&pts, 0, usize::MAX).count, 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod traits;
 
 pub use counter::ApproxRangeCounter;
 pub use error::BuildError;
-pub use grid::GridIndex;
+pub use grid::{EpsCount, GridIndex};
 pub use kdtree::KdTree;
 pub use linear::LinearScan;
 pub use rtree::RTree;

@@ -75,7 +75,7 @@ proptest! {
                 .iter()
                 .filter(|p| p.dist_sq(&pts[q as usize]) <= eps * eps)
                 .count();
-            prop_assert_eq!(g.count_within_eps(&pts, q, usize::MAX), brute);
+            prop_assert_eq!(g.count_within_eps(&pts, q, usize::MAX).count, brute);
         }
     }
 

@@ -7,8 +7,9 @@
 //! the `proptest` dependency name to this crate. Semantics: each test runs
 //! `cases` deterministic pseudo-random inputs (seeded from the test's
 //! module path, so runs are reproducible); a failing case panics with the
-//! standard assertion message. There is **no shrinking** — the first
-//! failing input is reported as-is.
+//! standard assertion message, and a [`CaseGuard`] then names the test and
+//! the case index, from which [`test_rng`] rebuilds the same inputs. There
+//! is **no shrinking** — the first failing input is reported as-is.
 
 #![forbid(unsafe_code)]
 
@@ -47,6 +48,32 @@ pub fn test_rng(test_name: &str, case: u32) -> StdRng {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     StdRng::seed_from_u64(h ^ ((case as u64) << 32 | case as u64))
+}
+
+/// Names a running test case on stderr if the case panics: the test's name
+/// and the case index are all [`test_rng`] needs to regenerate its inputs.
+/// Checks [`std::thread::panicking`] on drop, so the inputs need no `Debug`.
+pub struct CaseGuard {
+    pub test_name: &'static str,
+    pub case: u32,
+}
+
+impl CaseGuard {
+    /// The line printed for a failed case.
+    fn message(&self) -> String {
+        format!(
+            "proptest: {} failed at case {}; its inputs come from test_rng({:?}, {})",
+            self.test_name, self.case, self.test_name, self.case
+        )
+    }
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("{}", self.message());
+        }
+    }
 }
 
 /// Types with a canonical "arbitrary" strategy, reachable via [`any`].
@@ -161,10 +188,11 @@ macro_rules! __proptest_tests {
         fn $name() {
             let __cfg: $crate::ProptestConfig = $cfg;
             for __case in 0..__cfg.cases {
-                let mut __rng = $crate::test_rng(
-                    concat!(module_path!(), "::", stringify!($name)),
-                    __case,
-                );
+                let __guard = $crate::CaseGuard {
+                    test_name: concat!(module_path!(), "::", stringify!($name)),
+                    case: __case,
+                };
+                let mut __rng = $crate::test_rng(__guard.test_name, __case);
                 $(let $arg = $crate::strategy::Strategy::generate(&$strat, &mut __rng);)+
                 $body
             }
@@ -204,6 +232,29 @@ mod tests {
             prop_assert_eq!(w.len(), 3);
             let _ = seed;
         }
+    }
+
+    /// A failing case names its test and case index, and only a failing
+    /// one does.
+    #[test]
+    fn a_failing_case_is_named_for_reproduction() {
+        let guard = crate::CaseGuard {
+            test_name: "m::t",
+            case: 17,
+        };
+        assert_eq!(
+            guard.message(),
+            "proptest: m::t failed at case 17; its inputs come from test_rng(\"m::t\", 17)"
+        );
+        drop(guard);
+        let failed = std::panic::catch_unwind(|| {
+            let _guard = crate::CaseGuard {
+                test_name: "m::t",
+                case: 3,
+            };
+            panic!("case failed");
+        });
+        assert!(failed.is_err());
     }
 
     #[test]

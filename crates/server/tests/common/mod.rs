@@ -1,19 +1,27 @@
 //! Helpers shared by the daemon integration tests.
 //!
 //! Tests in this suite each start a real daemon with real sockets, and the
-//! thread-hygiene assertions count `dbscan-*` threads process-wide, so the
-//! whole suite serializes on [`lock`] — two concurrent servers would see each
-//! other's executor threads.
+//! whole suite serializes on [`lock`], so a test's thread-hygiene assertion
+//! sees only the threads its own daemon started.
 
 use dbscan_geom::Point;
 use dbscan_server::json::{obj, Value};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Ids of the `dbscan-*` threads that were alive when the test now holding
+/// [`lock`] took it. They belong to no daemon of that test (a daemon left
+/// running by an earlier test that failed is one), so
+/// [`assert_daemon_threads_gone`] does not count them.
+static THREADS_BEFORE: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
 pub fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    *THREADS_BEFORE
         .lock()
-        .unwrap_or_else(|e| e.into_inner())
+        .unwrap_or_else(PoisonError::into_inner) =
+        dbscan_tasks().into_iter().map(|(tid, _)| tid).collect();
+    guard
 }
 
 /// Deterministic 2D dataset: three dense blobs plus sparse background noise
@@ -94,16 +102,19 @@ pub fn labels_of(resp: &Value) -> Vec<Option<u32>> {
         .collect()
 }
 
-/// Names of live `dbscan-*` threads in this process (executors, the accept
-/// loop, connection handlers). Empty once a daemon has fully shut down.
-pub fn dbscan_threads() -> Vec<String> {
+/// Kernel thread ids and names of the live `dbscan-*` threads in this
+/// process (executors, the accept loop, connection handlers).
+fn dbscan_tasks() -> Vec<(u64, String)> {
     let mut out = Vec::new();
     if let Ok(dir) = std::fs::read_dir("/proc/self/task") {
         for entry in dir.flatten() {
+            let Some(tid) = entry.file_name().to_str().and_then(|t| t.parse().ok()) else {
+                continue;
+            };
             if let Ok(comm) = std::fs::read_to_string(entry.path().join("comm")) {
                 let name = comm.trim().to_string();
                 if name.starts_with("dbscan-") {
-                    out.push(name);
+                    out.push((tid, name));
                 }
             }
         }
@@ -111,14 +122,29 @@ pub fn dbscan_threads() -> Vec<String> {
     out
 }
 
-/// Asserts that every `dbscan-*` thread is gone after a daemon's `wait()`.
-/// A joined thread can stay listed in `/proc/self/task` until the kernel
-/// reaps it, so this polls for up to 5 s; a thread that really leaked is
-/// still listed then and fails the test.
+/// Names of live `dbscan-*` threads in this process. Empty once every
+/// daemon has fully shut down.
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub fn dbscan_threads() -> Vec<String> {
+    dbscan_tasks().into_iter().map(|(_, name)| name).collect()
+}
+
+/// Asserts that every `dbscan-*` thread started since this test took
+/// [`lock`] is gone after its daemon's `wait()`. A joined thread can stay
+/// listed in `/proc/self/task` until the kernel reaps it, so this polls for
+/// up to 5 s; a thread that really leaked is still listed then and fails
+/// the test.
 pub fn assert_daemon_threads_gone() {
+    let before = THREADS_BEFORE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     loop {
-        let live = dbscan_threads();
+        let live: Vec<(u64, String)> = dbscan_tasks()
+            .into_iter()
+            .filter(|(tid, _)| !before.contains(tid))
+            .collect();
         if live.is_empty() {
             return;
         }

@@ -211,13 +211,17 @@ fn the_connection_cap_sheds_excess_connections_with_a_typed_error() {
     assert!(got > 0, "capped connection should get a goodbye line");
     assert_eq!(error_code(&turned_away), "too_many_conns", "{turned_away}");
 
-    // Releasing a slot restores service.
+    // Releasing a slot restores service. Until the handlers of the closed
+    // connections notice, a new connection may itself be turned away with
+    // a too_many_conns line, so only an `ok` health reply counts.
     drop(held);
     let t0 = std::time::Instant::now();
-    loop {
+    let (client, health) = loop {
         if let Ok(mut client) = Client::connect_tcp(&addr.to_string()) {
-            if client.call(&verb("health")).is_ok() {
-                break;
+            if let Ok(health) = client.call(&verb("health")) {
+                if health.get("ok").and_then(Value::as_bool) == Some(true) {
+                    break (client, health);
+                }
             }
         }
         assert!(
@@ -225,10 +229,8 @@ fn the_connection_cap_sheds_excess_connections_with_a_typed_error() {
             "slot never freed after the held connections closed"
         );
         std::thread::sleep(Duration::from_millis(20));
-    }
+    };
 
-    let mut client = Client::connect_tcp(&addr.to_string()).expect("connect");
-    let health = client.call(&verb("health")).expect("health");
     let rejected = health
         .get("stats")
         .and_then(|st| st.get("rejected_conns"))
